@@ -15,6 +15,7 @@
 #include "algorithms/runner.h"
 #include "core/predictor.h"
 #include "datasets/datasets.h"
+#include "service/prediction_service.h"
 
 namespace predict::benchutil {
 

@@ -13,8 +13,8 @@
 //      errors included — the context-keyed fail-point decisions make
 //      chaos deterministic even under a 4-thread batch fan-out.
 //   3. Disabled equivalence: with every fail point disarmed, the
-//      robustness-configured service must be bit-identical to the plain
-//      uncached Predictor (the zero-fault path pays nothing and changes
+//      robustness-configured service must be bit-identical to a plain
+//      cold Predictor (the zero-fault path pays nothing and changes
 //      nothing).
 //
 // Results mirror to BENCH_chaos_gate.json (bench_json.h).

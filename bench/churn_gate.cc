@@ -17,8 +17,8 @@
 //      version; the best round must come in at <= 10% of cold.
 //   3. Bit-identity: the final round's reports — and one further
 //      *unrestricted* churn that dirties walked vertices and forces
-//      partial/full re-walks — must match a plain uncached Predictor on
-//      the same mutated graphs byte for byte.
+//      partial/full re-walks — must match a plain cold Predictor on the
+//      same mutated graphs byte for byte.
 //
 // Results mirror to BENCH_churn_gate.json (bench_json.h).
 

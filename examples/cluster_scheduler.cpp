@@ -8,8 +8,10 @@
 // (bsp/scenario.h): the paper deployment, a 10-worker slice, a straggler
 // cluster, a 64-worker fast-network build-out, or an edge-balanced
 // layout. PREDIcT answers the what-if question from ONE 10% sample per
-// job — Predictor::PredictAcrossScenarios reuses the sampled subgraph
-// and profiles it under each deployment — and the scheduler picks the
+// job — Predictor::PredictAcrossScenarios sends one request per
+// deployment to a single-use PredictionService, whose sample cache
+// shares the sampled subgraph while each deployment profiles it under
+// its own engine — and the scheduler picks the
 // cheapest scenario (in worker-seconds, the resources the job occupies)
 // whose predicted runtime meets the SLA. Each choice is then verified
 // against an actual run on the chosen deployment.
@@ -22,6 +24,7 @@
 #include "common/strings.h"
 #include "core/predictor.h"
 #include "datasets/datasets.h"
+#include "service/prediction_service.h"
 
 int main() {
   using namespace predict;

@@ -15,6 +15,7 @@
 #include "bsp/engine.h"
 #include "core/predictor.h"
 #include "graph/generators.h"
+#include "service/prediction_service.h"
 
 namespace {
 

@@ -15,6 +15,7 @@
 #include "datasets/datasets.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "service/prediction_service.h"
 
 int main() {
   using namespace predict;

@@ -13,9 +13,10 @@
 // pipeline::ProfileStage stamps its artifact with the scenario's
 // canonical key, PredictionService keys its profile cache on it (a
 // profile measured under one scenario never answers for another), and
-// Predictor::PredictAcrossScenarios / PredictionService::PredictScenarios
-// sweep one (algorithm, dataset) over many scenarios while reusing the
-// sampled subgraph.
+// PredictionService::PredictScenarios (and Predictor::PredictAcrossScenarios,
+// which runs on a single-use service) sweep one (algorithm, dataset)
+// over many scenarios as one request per scenario, reusing the sampled
+// subgraph through the sample cache.
 
 #ifndef PREDICT_BSP_SCENARIO_H_
 #define PREDICT_BSP_SCENARIO_H_

@@ -8,21 +8,20 @@
 // iterations enters implicitly (§3.4) — which is what makes PREDIcT work
 // for algorithms whose per-iteration runtime varies 100x.
 //
-// The methodology itself lives in the staged pipeline (pipeline/stages.h);
-// Predictor is the uncached end-to-end composition of those stages.
-// PredictionService (service/prediction_service.h) composes the same
-// stages with shared artifact caches for concurrent what-if traffic.
+// The methodology itself lives in the staged pipeline (pipeline/stages.h).
+// This header holds the options, the report and the back half shared by
+// every caller; PredictionService::Predict (service/prediction_service.h)
+// is the one composition of the stages, and Predictor, declared next to
+// it, is a single-use PredictionService.
 
 #ifndef PREDICT_CORE_PREDICTOR_H_
 #define PREDICT_CORE_PREDICTOR_H_
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "algorithms/runner.h"
 #include "bsp/scenario.h"
-#include "bsp/thread_pool.h"
 #include "common/result.h"
 #include "core/cost_model.h"
 #include "core/distribution.h"
@@ -55,7 +54,8 @@ struct RobustnessOptions {
 /// degradation ladder the request landed on.
 enum class DegradationRung {
   kFull = 0,         ///< the normal five-stage pipeline
-  kStaleProfile,     ///< cached profile from a previous epoch (service only)
+  kStaleProfile,     ///< cached profile from a previous epoch (long-lived
+                     ///< service only)
   kHistoryOnly,      ///< no sample run at all; fit on history alone
 };
 
@@ -176,10 +176,10 @@ struct PredictionReport {
   RequestAccounting accounting;
 
   /// Of the five pipeline stages, how many this request served from
-  /// cached artifacts vs actually executed (PredictionService fills
-  /// these; a bare Predictor always recomputes all five). Like
-  /// `accounting`, a property of the execution rather than the
-  /// prediction: excluded from determinism byte-compares.
+  /// cached artifacts vs actually executed (a single Predictor call
+  /// recomputes all five; later scenarios of one of its sweeps reuse the
+  /// sample). Like `accounting`, a property of the execution rather than
+  /// the prediction: excluded from determinism byte-compares.
   int stages_reused = 0;
   int stages_recomputed = 5;
 
@@ -189,8 +189,8 @@ struct PredictionReport {
 };
 
 /// The five pipeline stages wired from one PredictorOptions. Immutable
-/// after construction and safe to share across threads; both Predictor
-/// and PredictionService run predictions through one of these.
+/// after construction and safe to share across threads;
+/// PredictionService runs predictions through one of these.
 struct PredictionPipeline {
   explicit PredictionPipeline(const PredictorOptions& options)
       : sample(options.sampler),
@@ -209,13 +209,12 @@ struct PredictionPipeline {
   BootstrapOptions bootstrap;
 };
 
-/// THE history-scoping rule, shared by Predictor's what-if sweep and
-/// PredictionService's scenario requests: history rows carry no
+/// THE history-scoping rule for PredictionService's scenario requests
+/// (and so for Predictor's what-if sweep): history rows carry no
 /// deployment identity and belong to the baseline engine (assumption
 /// iii), so a deployment is assembled with the history-trained pipeline
 /// only when its canonical engine key (bsp::EngineOptionsKey) matches
 /// the baseline's; any other deployment fits on its sample run alone.
-/// Changing the match semantics here changes both APIs together.
 inline const PredictionPipeline& StagesForDeployment(
     const std::string& engine_key, const std::string& baseline_key,
     const PredictionPipeline& with_history,
@@ -251,58 +250,6 @@ Result<PredictionReport> HistoryOnlyPrediction(const PredictorOptions& options,
                                                const std::string& dataset_name,
                                                uint32_t num_workers,
                                                const std::string& cause);
-
-/// \brief Runs the PREDIcT methodology for one (algorithm, graph) pair.
-class Predictor {
- public:
-  explicit Predictor(PredictorOptions options) : options_(std::move(options)) {}
-
-  /// Predicts the runtime of `algorithm` on `graph`.
-  ///
-  /// `dataset_name` labels profiles and excludes same-dataset rows from
-  /// the history store (the paper trains on "all other datasets but the
-  /// predicted one"). `overrides` configure the *actual* run; the
-  /// transform function derives the sample run's configuration from them.
-  ///
-  /// Honors options().robustness: each stage runs under the retry policy
-  /// and the request deadline, and when degraded_fallbacks is set a
-  /// failed stage falls back to HistoryOnlyPrediction (the Predictor has
-  /// no profile cache, so the stale-profile rung is service-only).
-  /// Validation failures (unknown algorithm, bad override) never degrade
-  /// — a misspelled request must fail loudly.
-  Result<PredictionReport> PredictRuntime(const std::string& algorithm,
-                                          const Graph& graph,
-                                          const std::string& dataset_name = "",
-                                          const AlgorithmConfig& overrides = {});
-
-  /// Cross-deployment what-if (the paper's §5 deployment axis): predicts
-  /// `algorithm` on `graph` under each scenario. The graph is sampled
-  /// and the configuration transformed exactly once (neither depends on
-  /// the deployment); the sample run is profiled and the cost model
-  /// fitted per scenario, each under the scenario's engine options.
-  ///
-  /// The history store carries no deployment identity — assumption iii
-  /// ties its rows to the predictor's configured engine — and the paper
-  /// re-trains the cost model per cluster, so history joins a scenario's
-  /// fit only when the scenario's canonical engine key matches the
-  /// baseline engine's; every other scenario fits on its sample run
-  /// alone.
-  ///
-  /// results[i] corresponds to scenarios[i]. `pool` fans the scenarios
-  /// out (null = sequential); every stage is deterministic, so the
-  /// fanned-out batch is bit-identical to the sequential loop. Scenario
-  /// runs simulate inline on their fan-out thread (num_threads = 0).
-  std::vector<Result<PredictionReport>> PredictAcrossScenarios(
-      const std::string& algorithm, const Graph& graph,
-      const std::string& dataset_name, const AlgorithmConfig& overrides,
-      std::span<const bsp::ClusterScenario> scenarios,
-      bsp::ThreadPool* pool = nullptr);
-
-  const PredictorOptions& options() const { return options_; }
-
- private:
-  PredictorOptions options_;
-};
 
 /// Signed relative errors of a prediction against the observed actual
 /// run ((predicted - actual) / actual; negative = under-prediction).

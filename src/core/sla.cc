@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/strings.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 

@@ -256,11 +256,16 @@ uint64_t Graph::EdgeStorageBytes() const {
 
 namespace {
 
-// FNV-1a over a byte range.
-inline uint64_t FnvMix(uint64_t hash, const void* data, size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
+// FNV-1a's xor-multiply step applied per array element (32- or 64-bit
+// word) rather than per byte: a quarter of the multiplies on the CSR
+// arrays, which dominated a warm re-predict after graph churn.
+template <typename T>
+inline uint64_t FnvMix(uint64_t hash, const T* data, size_t count) {
+  static_assert(sizeof(T) == 4 || sizeof(T) == 8);
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t word = 0;
+    std::memcpy(&word, &data[i], sizeof(T));
+    hash ^= word;
     hash *= 1099511628211ULL;
   }
   return hash;
@@ -278,29 +283,24 @@ uint64_t Graph::Fingerprint() const {
 
   g_fingerprint_computations.fetch_add(1, std::memory_order_relaxed);
   uint64_t hash = 14695981039346656037ULL;  // FNV offset basis
-  const uint64_t v = num_vertices();
-  const uint64_t e = num_edges();
-  hash = FnvMix(hash, &v, sizeof(v));
-  hash = FnvMix(hash, &e, sizeof(e));
+  const uint64_t counts[2] = {num_vertices(), num_edges()};
+  hash = FnvMix(hash, counts, 2);
   // The out CSR fully determines the structure (the in CSR is derived).
-  hash = FnvMix(hash, out_offsets_.data(),
-                out_offsets_.size() * sizeof(uint64_t));
+  hash = FnvMix(hash, out_offsets_.data(), out_offsets_.size());
   if (!edges_compressed_) {
-    hash = FnvMix(hash, out_targets_.data(),
-                  out_targets_.size() * sizeof(VertexId));
+    hash = FnvMix(hash, out_targets_.data(), out_targets_.size());
   } else {
     // Hash the decoded target ids so plain and compressed copies of the
-    // same structure see the identical byte stream (per-vertex chunks
+    // same structure see the identical word stream (per-vertex chunks
     // concatenate to exactly the plain out_targets_ array).
     std::vector<VertexId> scratch;
-    for (uint64_t u = 0; u < v; ++u) {
+    for (uint64_t u = 0; u < counts[0]; ++u) {
       const auto targets = OutNeighborsInto(static_cast<VertexId>(u), &scratch);
-      hash = FnvMix(hash, targets.data(), targets.size() * sizeof(VertexId));
+      hash = FnvMix(hash, targets.data(), targets.size());
     }
   }
   if (is_weighted_) {
-    hash = FnvMix(hash, out_weights_.data(),
-                  out_weights_.size() * sizeof(float));
+    hash = FnvMix(hash, out_weights_.data(), out_weights_.size());
   }
   if (hash == 0) hash = 1;
   // Benign race: concurrent first callers compute the same content hash

@@ -243,7 +243,7 @@ class Graph {
   /// including whether edges are compressed: plain and compressed copies
   /// of the same structure hash equal. Identical structure always hashes
   /// equal; distinct structures collide only with 64-bit-hash probability
-  /// (FNV-1a is not cryptographic — callers building cache keys on it
+  /// (word-wise FNV-1a is not cryptographic — callers keying caches on it
   /// should also key on |V|/|E|, as pipeline::SampleKey does). Never
   /// returns 0.
   ///

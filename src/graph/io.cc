@@ -130,6 +130,20 @@ Result<Graph> ReadBinaryGraphFile(const std::string& path) {
   if (num_vertices > 0xFFFFFFFFULL) {
     return Status::OutOfRange("vertex count exceeds 32-bit ids");
   }
+  // The header is untrusted: bound the edge count by the bytes actually
+  // left in the file before sizing any allocation from it.
+  const uint64_t record_bytes =
+      2 * sizeof(uint32_t) + (weighted != 0 ? sizeof(float) : 0);
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (header_end < 0 || file_end < header_end ||
+      num_edges > static_cast<uint64_t>(file_end - header_end) / record_bytes) {
+    return Status::IOError("PRDG header in '" + path + "' claims " +
+                           std::to_string(num_edges) +
+                           " edges, more than the file holds");
+  }
   std::vector<Edge> edges;
   edges.reserve(num_edges);
   for (uint64_t i = 0; i < num_edges; ++i) {

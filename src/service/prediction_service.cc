@@ -1,8 +1,8 @@
 #include "service/prediction_service.h"
 
-#include <condition_variable>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "graph/delta.h"
@@ -22,39 +22,17 @@ PredictorOptions WithoutHistory(PredictorOptions options) {
   return options;
 }
 
+// A single-use service for one Predictor call: no fan-out pool and no
+// retained incremental-sampling state (no copy of the caller's graph).
+PredictionServiceOptions OneShot(const PredictorOptions& options) {
+  PredictionServiceOptions service;
+  service.predictor = options;
+  service.num_threads = 0;
+  service.enable_incremental_sampling = false;
+  return service;
+}
+
 }  // namespace
-
-// A cache slot that deduplicates concurrent computation: the thread that
-// created the slot computes; everyone else blocks until the result
-// (value or error — both deterministic) is published. Deliberately NOT a
-// once_flag: a once_flag would latch the first failure into the cache
-// forever, whereas these slots are erased from the map before a failure
-// is published, so the next request re-attempts.
-template <typename ValuePtr>
-struct CacheEntry {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  Result<ValuePtr> result = Status::Internal("uncomputed");
-
-  void Publish(Result<ValuePtr> value) {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      result = std::move(value);
-      done = true;
-    }
-    cv.notify_all();
-  }
-
-  Result<ValuePtr> Wait() {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return done; });
-    return result;
-  }
-};
-
-struct PredictionService::SampleEntry : CacheEntry<SamplePtr> {};
-struct PredictionService::ProfileEntry : CacheEntry<ProfilePtr> {};
 
 PredictionService::PredictionService(PredictionServiceOptions options)
     : options_(std::move(options)),
@@ -119,124 +97,6 @@ Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
   return std::make_shared<const pipeline::SampleArtifact>(std::move(artifact));
 }
 
-Result<PredictionService::SamplePtr> PredictionService::GetOrComputeSample(
-    const Graph& graph, const pipeline::StageContext& ctx, bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto compute = [&]() -> Result<SamplePtr> {
-    return ComputeSampleArtifact(graph, ctx);
-  };
-
-  if (!options_.enable_sample_cache) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.sample_misses;
-    }
-    return compute();  // outside the lock: uncached work must still overlap
-  }
-
-  const std::string key =
-      pipeline::SampleKey::For(graph, stages_.sample.options()).ToString();
-  std::shared_ptr<SampleEntry> entry;
-  bool creator = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<SampleEntry>& slot = sample_cache_[key];
-    if (slot == nullptr) {
-      slot = std::make_shared<SampleEntry>();
-      creator = true;
-      ++stats_.sample_misses;
-    } else {
-      ++stats_.sample_hits;
-    }
-    entry = slot;
-  }
-  if (!creator) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return entry->Wait();
-  }
-
-  Result<SamplePtr> result = compute();
-  if (!result.ok()) {
-    // Cache hygiene: drop the slot *before* publishing the failure, so
-    // by the time any joiner observes the error the cache no longer
-    // holds it and the next request for this key re-attempts.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = sample_cache_.find(key);
-    if (it != sample_cache_.end() && it->second == entry) {
-      sample_cache_.erase(it);
-    }
-  }
-  entry->Publish(result);
-  return result;
-}
-
-Result<PredictionService::ProfilePtr> PredictionService::GetOrComputeProfile(
-    const std::string& profile_key, const std::string& algorithm,
-    const std::string& dataset, const pipeline::SampleArtifact& sample,
-    const pipeline::TransformArtifact& transform,
-    const bsp::EngineOptions& engine, const pipeline::StageContext& ctx,
-    bool* cache_hit) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  auto compute = [&]() -> Result<ProfilePtr> {
-    PREDICT_ASSIGN_OR_RETURN(
-        pipeline::ProfileArtifact artifact,
-        stages_.profile.RunWithEngine(algorithm, dataset, sample, transform,
-                                      engine, ctx));
-    return std::make_shared<const pipeline::ProfileArtifact>(
-        std::move(artifact));
-  };
-  // Every successful profile run — cached or not — refreshes the
-  // stale-profile rung for its key.
-  auto remember_good = [&](const Result<ProfilePtr>& result) {
-    if (!result.ok()) return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    last_good_profiles_[profile_key] = *result;
-  };
-
-  if (!options_.enable_profile_cache) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.profile_misses;
-    }
-    Result<ProfilePtr> result = compute();  // outside the lock: must overlap
-    remember_good(result);
-    return result;
-  }
-
-  std::shared_ptr<ProfileEntry> entry;
-  bool creator = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::shared_ptr<ProfileEntry>& slot = profile_cache_[profile_key];
-    if (slot == nullptr) {
-      slot = std::make_shared<ProfileEntry>();
-      creator = true;
-      ++stats_.profile_misses;
-    } else {
-      ++stats_.profile_hits;
-    }
-    entry = slot;
-  }
-  if (!creator) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return entry->Wait();
-  }
-
-  Result<ProfilePtr> result = compute();
-  if (!result.ok()) {
-    // Cache hygiene: the failed slot leaves the map before the failure
-    // is visible to anyone (see GetOrComputeSample).
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = profile_cache_.find(profile_key);
-    if (it != profile_cache_.end() && it->second == entry) {
-      profile_cache_.erase(it);
-    }
-  }
-  remember_good(result);
-  entry->Publish(result);
-  return result;
-}
-
 Result<PredictionReport> PredictionService::Predict(
     const PredictionRequest& request) {
   if (request.graph == nullptr) {
@@ -268,11 +128,10 @@ Result<PredictionReport> PredictionService::Predict(
   bsp::EngineOptions engine = options_.predictor.engine;
   std::string engine_key = default_engine_key_;
   if (request.scenario.has_value()) {
-    // Scenario runs simulate inline on the calling (fan-out) thread,
-    // like Predictor::PredictAcrossScenarios: inheriting a hardware-wide
-    // num_threads here would nest an engine pool inside every
-    // PredictScenarios pool task. Inline execution never changes
-    // simulated output (the determinism contract).
+    // Scenario runs simulate inline on the calling (fan-out) thread:
+    // inheriting a hardware-wide num_threads here would nest an engine
+    // pool inside every PredictScenarios pool task. Inline execution
+    // never changes simulated output (the determinism contract).
     engine = request.scenario->ToEngineOptions(0);
     engine_key = bsp::EngineOptionsKey(engine);
   }
@@ -299,8 +158,10 @@ Result<PredictionReport> PredictionService::Predict(
   // 1. Sample (cached on the graph's content + sampler options; the
   // sample is deployment-independent, so scenario requests share it).
   bool sample_reused = false;
-  Result<SamplePtr> sample = GetOrComputeSample(graph, sample_ctx,
-                                                &sample_reused);
+  Result<SamplePtr> sample = sample_cache_.GetOrCompute(
+      pipeline::SampleKey::For(graph, stages_.sample.options()).ToString(),
+      [&] { return ComputeSampleArtifact(graph, sample_ctx); },
+      &sample_reused);
   if (!sample.ok()) return history_only(sample.status());
 
   // 2. Transform (cheap; always recomputed). Pure config arithmetic — a
@@ -322,10 +183,24 @@ Result<PredictionReport> PredictionService::Predict(
       model_config_key_;
   DegradationInfo degradation;
   bool profile_reused = false;
-  Result<ProfilePtr> profile =
-      GetOrComputeProfile(profile_key, request.algorithm, request.dataset,
-                          **sample, transform, engine, profile_ctx,
-                          &profile_reused);
+  Result<ProfilePtr> profile = profile_cache_.GetOrCompute(
+      profile_key,
+      [&]() -> Result<ProfilePtr> {
+        PREDICT_ASSIGN_OR_RETURN(
+            pipeline::ProfileArtifact artifact,
+            stages_.profile.RunWithEngine(request.algorithm, request.dataset,
+                                          **sample, transform, engine,
+                                          profile_ctx));
+        auto computed =
+            std::make_shared<const pipeline::ProfileArtifact>(
+                std::move(artifact));
+        // Every successful profile run refreshes the stale-profile rung
+        // for its key.
+        std::lock_guard<std::mutex> lock(mutex_);
+        last_good_profiles_[profile_key] = computed;
+        return computed;
+      },
+      &profile_reused);
   if (!profile.ok()) {
     if (!robustness.degraded_fallbacks) return profile.status();
     // Middle rung: the last profile this service (ever) computed for the
@@ -367,64 +242,77 @@ Result<PredictionReport> PredictionService::Predict(
   return report;
 }
 
+std::vector<Result<PredictionReport>> PredictionService::PredictBatch(
+    const std::vector<PredictionRequest>& requests) {
+  // Slots are written by index: results are positionally deterministic no
+  // matter which pool thread answers which request.
+  std::vector<Result<PredictionReport>> results(
+      requests.size(), Status::Internal("request not computed"));
+  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+  pool_.ParallelFor(requests.size(),
+                    [&](uint64_t i) { results[i] = Predict(requests[i]); });
+  return results;
+}
+
 std::vector<Result<PredictionReport>> PredictionService::PredictScenarios(
     const PredictionRequest& request,
     const std::vector<bsp::ClusterScenario>& scenarios) {
   // One request per scenario through the regular cached path: the first
   // to need the sample computes it, everyone else joins it.
-  std::vector<std::optional<Result<PredictionReport>>> slots(scenarios.size());
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    pool_.ParallelFor(scenarios.size(), [&](uint64_t i) {
-      PredictionRequest scenario_request = request;
-      scenario_request.scenario = scenarios[i];
-      slots[i].emplace(Predict(scenario_request));
-    });
+  std::vector<PredictionRequest> requests(scenarios.size(), request);
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    requests[i].scenario = scenarios[i];
   }
-
-  std::vector<Result<PredictionReport>> results;
-  results.reserve(scenarios.size());
-  for (std::optional<Result<PredictionReport>>& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
-  return results;
-}
-
-std::vector<Result<PredictionReport>> PredictionService::PredictBatch(
-    const std::vector<PredictionRequest>& requests) {
-  // Slots are written by index: results are positionally deterministic no
-  // matter which pool thread answers which request.
-  std::vector<std::optional<Result<PredictionReport>>> slots(requests.size());
-  {
-    std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-    pool_.ParallelFor(requests.size(), [&](uint64_t i) {
-      slots[i].emplace(Predict(requests[i]));
-    });
-  }
-
-  std::vector<Result<PredictionReport>> results;
-  results.reserve(requests.size());
-  for (std::optional<Result<PredictionReport>>& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
-  return results;
+  return PredictBatch(requests);
 }
 
 ServiceCacheStats PredictionService::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  ServiceCacheStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stats = stats_;
+  }
+  std::tie(stats.sample_hits, stats.sample_misses) = sample_cache_.counts();
+  std::tie(stats.profile_hits, stats.profile_misses) = profile_cache_.counts();
+  return stats;
 }
 
 ServiceCacheEvictions PredictionService::ClearCaches() {
-  std::lock_guard<std::mutex> lock(mutex_);
   ServiceCacheEvictions evicted;
-  evicted.sample_entries = sample_cache_.size();
-  evicted.profile_entries = profile_cache_.size();
+  evicted.sample_entries = sample_cache_.Clear();
+  evicted.profile_entries = profile_cache_.Clear();
+  std::lock_guard<std::mutex> lock(mutex_);
   evicted.incremental_states = incremental_state_.has_value() ? 1 : 0;
-  sample_cache_.clear();
-  profile_cache_.clear();
   incremental_state_.reset();
   return evicted;
+}
+
+Result<PredictionReport> Predictor::PredictRuntime(
+    const std::string& algorithm, const Graph& graph,
+    const std::string& dataset_name, const AlgorithmConfig& overrides) {
+  PredictionService service(OneShot(options_));
+  return service.Predict({algorithm, &graph, dataset_name, overrides, {}});
+}
+
+std::vector<Result<PredictionReport>> Predictor::PredictAcrossScenarios(
+    const std::string& algorithm, const Graph& graph,
+    const std::string& dataset_name, const AlgorithmConfig& overrides,
+    std::span<const bsp::ClusterScenario> scenarios, bsp::ThreadPool* pool) {
+  PredictionService service(OneShot(options_));
+  // Slots are written by index, so results are positionally identical no
+  // matter which pool thread answers which scenario.
+  std::vector<Result<PredictionReport>> results(
+      scenarios.size(), Status::Internal("scenario not computed"));
+  auto predict_one = [&](uint64_t i) {
+    results[i] = service.Predict(
+        {algorithm, &graph, dataset_name, overrides, scenarios[i]});
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(scenarios.size(), predict_one);
+  } else {
+    for (size_t i = 0; i < scenarios.size(); ++i) predict_one(i);
+  }
+  return results;
 }
 
 }  // namespace predict

@@ -23,20 +23,21 @@
 // cached sample and fanning the per-scenario sample runs out over the
 // pool.
 //
+// Predictor (declared below) is a single-use PredictionService, so
+// Predict is the only code that composes the stages.
+//
 // Determinism contract: every stage is deterministic, so a report served
 // from warm caches under any concurrency is bit-identical to a cold
-// sequential Predictor::PredictRuntime — except sample_wall_seconds,
-// which reports host timing of whichever run produced the artifact, and
-// PredictionReport::accounting, which counts whichever attempts this
-// host's interleaving actually ran.
+// sequential Predict on a fresh service (what Predictor::PredictRuntime
+// runs) — except sample_wall_seconds, which reports host timing of
+// whichever run produced the artifact, and the execution fields
+// (accounting, stages_reused/stages_recomputed), which count whichever
+// attempts and cache hits this host's interleaving actually produced.
 //
 // Failure semantics (the robustness contract):
-//   - A failed stage never populates a cache: the computing thread
-//     erases the in-flight slot before publishing the error, so the next
-//     request for the key re-attempts instead of replaying a cached
-//     failure (no cache poisoning, no latched errors).
-//   - Concurrent joiners of a failed computation receive that failure
-//     (deterministic under an armed fault schedule), but do not latch it.
+//   - A failed stage never populates a cache, and concurrent joiners of
+//     a failed computation receive that failure without latching it
+//     (SingleFlightCache, service/single_flight_cache.h).
 //   - With predictor.robustness.degraded_fallbacks set, a failed or
 //     deadline-exceeded request walks the degradation ladder: last good
 //     profile cached for the same profile key (survives ClearCaches —
@@ -51,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +62,7 @@
 #include "common/result.h"
 #include "core/predictor.h"
 #include "pipeline/artifacts.h"
+#include "service/single_flight_cache.h"
 
 namespace predict {
 
@@ -94,9 +97,6 @@ struct PredictionServiceOptions {
   /// batch serving, prefer engine.num_threads = 0 and let the batch
   /// fan-out supply the parallelism.
   int num_threads = -1;
-
-  bool enable_sample_cache = true;
-  bool enable_profile_cache = true;
 
   /// Maintain the characterized sample incrementally across graph
   /// versions: on a sample-cache miss the service diffs the new graph
@@ -173,23 +173,8 @@ class PredictionService {
   const PredictionServiceOptions& options() const { return options_; }
 
  private:
-  struct SampleEntry;
-  struct ProfileEntry;
-
   using SamplePtr = std::shared_ptr<const pipeline::SampleArtifact>;
   using ProfilePtr = std::shared_ptr<const pipeline::ProfileArtifact>;
-
-  /// `cache_hit` (may be null) reports whether the artifact was served
-  /// from the cache (including joining an in-flight computation).
-  Result<SamplePtr> GetOrComputeSample(const Graph& graph,
-                                       const pipeline::StageContext& ctx,
-                                       bool* cache_hit = nullptr);
-  Result<ProfilePtr> GetOrComputeProfile(
-      const std::string& profile_key, const std::string& algorithm,
-      const std::string& dataset, const pipeline::SampleArtifact& sample,
-      const pipeline::TransformArtifact& transform,
-      const bsp::EngineOptions& engine, const pipeline::StageContext& ctx,
-      bool* cache_hit = nullptr);
 
   /// Computes the sample artifact on a cache miss: incrementally from
   /// the retained previous walk when possible, from scratch otherwise.
@@ -216,9 +201,10 @@ class PredictionService {
   std::mutex batch_mutex_;
   bsp::ThreadPool pool_;
 
-  mutable std::mutex mutex_;  // guards the maps below and stats_
-  std::unordered_map<std::string, std::shared_ptr<SampleEntry>> sample_cache_;
-  std::unordered_map<std::string, std::shared_ptr<ProfileEntry>> profile_cache_;
+  SingleFlightCache<pipeline::SampleArtifact> sample_cache_;
+  SingleFlightCache<pipeline::ProfileArtifact> profile_cache_;
+
+  mutable std::mutex mutex_;  // guards the state below and stats_
   /// Last successfully computed profile per profile key: the
   /// stale-profile degradation rung. Updated on every successful profile
   /// compute; intentionally NOT dropped by ClearCaches, so a service
@@ -236,7 +222,58 @@ class PredictionService {
     SampleWalkRecord record;
   };
   std::optional<IncrementalState> incremental_state_;
+  /// The counters the caches do not keep themselves (hits and misses
+  /// live in sample_cache_ / profile_cache_).
   ServiceCacheStats stats_;
+};
+
+/// \brief Runs the PREDIcT methodology for one (algorithm, graph) pair:
+/// each call builds a single-use PredictionService (no fan-out pool, no
+/// incremental-sampling state, so no copy of the graph) and predicts
+/// through it.
+class Predictor {
+ public:
+  explicit Predictor(PredictorOptions options) : options_(std::move(options)) {}
+
+  /// Predicts the runtime of `algorithm` on `graph`.
+  ///
+  /// `dataset_name` labels profiles and excludes same-dataset rows from
+  /// the history store (the paper trains on "all other datasets but the
+  /// predicted one"). `overrides` configure the *actual* run; the
+  /// transform function derives the sample run's configuration from them.
+  ///
+  /// Honors options().robustness like PredictionService::Predict; with a
+  /// fresh service there is no previous-epoch profile, so the ladder
+  /// falls from the full pipeline straight to history-only. Validation
+  /// failures (unknown algorithm, bad override) never degrade.
+  Result<PredictionReport> PredictRuntime(const std::string& algorithm,
+                                          const Graph& graph,
+                                          const std::string& dataset_name = "",
+                                          const AlgorithmConfig& overrides = {});
+
+  /// Cross-deployment what-if (the paper's §5 deployment axis): predicts
+  /// `algorithm` on `graph` under each scenario, as one request per
+  /// scenario to a single-use service. The graph is sampled once (the
+  /// sample cache shares it); the sample run is profiled and the cost
+  /// model fitted per scenario, history joining only the scenario whose
+  /// engine key matches the baseline (StagesForDeployment). Each
+  /// scenario gets its own deadline and walks its own degradation
+  /// ladder.
+  ///
+  /// results[i] corresponds to scenarios[i]. `pool` fans the scenarios
+  /// out (null = sequential); every stage is deterministic, so the
+  /// fanned-out batch is bit-identical to the sequential loop. Scenario
+  /// runs simulate inline on their fan-out thread (num_threads = 0).
+  std::vector<Result<PredictionReport>> PredictAcrossScenarios(
+      const std::string& algorithm, const Graph& graph,
+      const std::string& dataset_name, const AlgorithmConfig& overrides,
+      std::span<const bsp::ClusterScenario> scenarios,
+      bsp::ThreadPool* pool = nullptr);
+
+  const PredictorOptions& options() const { return options_; }
+
+ private:
+  PredictorOptions options_;
 };
 
 }  // namespace predict

@@ -515,6 +515,31 @@ TEST_F(ChaosPredictorTest, RetriesRecoverWithoutDegrading) {
   EXPECT_EQ(Canonical(report), Canonical(clean));
 }
 
+// A what-if sweep is one request per scenario, so every scenario walks
+// the ladder on its own rather than sharing one front-half error.
+TEST_F(ChaosPredictorTest, SweepWalksTheLadderPerScenario) {
+  ASSERT_TRUE(fail::Configure("profile.run", "prob:1").ok());
+  const Graph g = TestGraph(2000, 17);
+  const HistoryStore history = TestHistory("pagerank", {2, 4, 8});
+  PredictorOptions options = TestPredictorOptions();
+  options.history = &history;
+  options.robustness.degraded_fallbacks = true;
+
+  const std::vector<bsp::ClusterScenario>& scenarios = bsp::BuiltinScenarios();
+  bsp::ThreadPool pool(2);
+  const auto reports = Predictor(options).PredictAcrossScenarios(
+      "pagerank", g, "ds", {}, scenarios, &pool);
+  ASSERT_EQ(reports.size(), scenarios.size());
+  for (size_t i = 0; i < reports.size(); ++i) {
+    SCOPED_TRACE(scenarios[i].name);
+    ASSERT_TRUE(reports[i].ok()) << reports[i].status().ToString();
+    EXPECT_EQ(reports[i]->degradation.rung, DegradationRung::kHistoryOnly);
+    EXPECT_NE(reports[i]->degradation.cause.find("profile_stage"),
+              std::string::npos);
+    EXPECT_EQ(reports[i]->scenario, scenarios[i].name);
+  }
+}
+
 class ChaosSlaTest : public FailPointTest {};
 
 TEST_F(ChaosSlaTest, RequireFullQualityVetoesDegradedPredictions) {

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
 
 #include "algorithms/rwr_proximity.h"
 #include "algorithms/runner.h"
 #include "core/predictor.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 namespace {
@@ -157,6 +160,17 @@ TEST(BinaryIoTest, RejectsTruncatedFile) {
   const Graph g = GenerateComplete(5).MoveValue();
   ASSERT_TRUE(WriteBinaryGraphFile(g, path).ok());
   std::filesystem::resize_file(path, 30);  // cut into the edge section
+  EXPECT_TRUE(ReadBinaryGraphFile(path).status().IsIOError());
+
+  // A 25-byte header-only file claiming 2^60 edges: rejected before any
+  // allocation is sized from the untrusted count.
+  std::filesystem::resize_file(path, 25);
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const uint64_t huge = uint64_t{1} << 60;
+    file.seekp(16);  // magic(4) + version(4) + num_vertices(8)
+    file.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
   EXPECT_TRUE(ReadBinaryGraphFile(path).status().IsIOError());
   std::filesystem::remove(path);
 }

@@ -14,6 +14,7 @@
 #include "core/predictor.h"
 #include "core/transform.h"
 #include "datasets/datasets.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 namespace {

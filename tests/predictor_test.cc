@@ -9,6 +9,7 @@
 #include "core/predictor.h"
 #include "core/sla.h"
 #include "graph/generators.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 namespace {

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
+#include "service/prediction_service.h"
 
 namespace predict {
 namespace {

@@ -18,6 +18,7 @@
 #include "datasets/datasets.h"
 #include "graph/generators.h"
 #include "service/prediction_service.h"
+#include "tests/uncached_reference.h"
 
 namespace predict {
 namespace {
@@ -200,6 +201,15 @@ TEST(WhatIfTest, FannedOutSweepIsBitIdenticalToSequential) {
       {"tau", 0.001 / static_cast<double>(WhatIfGraph().num_vertices())}};
   const auto sequential = predictor.PredictAcrossScenarios(
       "pagerank", WhatIfGraph(), "wiki", config, scenarios, nullptr);
+  ASSERT_EQ(sequential.size(), scenarios.size());
+  for (size_t i = 0; i < scenarios.size(); ++i) {
+    SCOPED_TRACE(scenarios[i].name + " vs uncached reference");
+    const auto reference = uncached_reference::Predict(
+        options, "pagerank", WhatIfGraph(), "wiki", config, scenarios[i]);
+    ASSERT_EQ(sequential[i].ok(), reference.ok());
+    if (!reference.ok()) continue;
+    ExpectReportsIdentical(*sequential[i], *reference);
+  }
 
   for (const uint32_t threads : {1u, 2u, 8u}) {
     bsp::ThreadPool pool(threads);

@@ -1,6 +1,7 @@
 // PredictionService tests: cache hit/miss accounting, and the
 // determinism contract — PredictBatch output is bit-identical to
-// sequential Predictor::PredictRuntime calls for any thread count and
+// sequential Predictor::PredictRuntime calls (and to the uncached stage
+// composition of tests/uncached_reference.h) for any thread count and
 // any cache temperature (wall-clock fields excluded; they report host
 // timing).
 
@@ -15,6 +16,7 @@
 #include "graph/generators.h"
 #include "sampling/sampler.h"
 #include "service/prediction_service.h"
+#include "tests/uncached_reference.h"
 
 namespace predict {
 namespace {
@@ -191,24 +193,6 @@ TEST(PredictionServiceTest, BatchAccountsOneSampleMissPerDistinctGraph) {
   EXPECT_EQ(stats.profile_hits, 0u);
 }
 
-TEST(PredictionServiceTest, DisabledCachesAlwaysMiss) {
-  const Graph g = TestGraph(2000, 35);
-  PredictionServiceOptions options = TestServiceOptions();
-  options.enable_sample_cache = false;
-  options.enable_profile_cache = false;
-  PredictionService service(options);
-  PredictionRequest request;
-  request.algorithm = "connected_components";
-  request.graph = &g;
-  ASSERT_TRUE(service.Predict(request).ok());
-  ASSERT_TRUE(service.Predict(request).ok());
-  const ServiceCacheStats stats = service.cache_stats();
-  EXPECT_EQ(stats.sample_misses, 2u);
-  EXPECT_EQ(stats.sample_hits, 0u);
-  EXPECT_EQ(stats.profile_misses, 2u);
-  EXPECT_EQ(stats.profile_hits, 0u);
-}
-
 TEST(PredictionServiceTest, ClearCachesForcesRecomputation) {
   const Graph g = TestGraph(2000, 36);
   PredictionService service(TestServiceOptions());
@@ -240,11 +224,16 @@ TEST(PredictionServiceTest, PredictMatchesPredictorBitIdentically) {
   auto direct = predictor.PredictRuntime("pagerank", g, "ds", request.overrides);
   ASSERT_TRUE(direct.ok());
   ExpectReportsIdentical(*served, *direct);
+  auto reference = uncached_reference::Predict(
+      TestPredictorOptions(), "pagerank", g, "ds", request.overrides);
+  ASSERT_TRUE(reference.ok());
+  ExpectReportsIdentical(*served, *reference);
 
   // Warm repeat (both caches hit): still bit-identical.
   auto warm = service.Predict(request);
   ASSERT_TRUE(warm.ok());
   ExpectReportsIdentical(*warm, *direct);
+  ExpectReportsIdentical(*warm, *reference);
 }
 
 TEST(PredictionServiceTest, BatchBitIdenticalToSequentialForAnyThreadCount) {
