@@ -112,6 +112,26 @@ std::string ErrorCell(double error) {
   return buf;
 }
 
+std::string CanonicalReport(const Result<PredictionReport>& result) {
+  if (!result.ok()) return "ERROR: " + result.status().ToString();
+  const PredictionReport& r = *result;
+  char buf[96];
+  std::string out = r.algorithm + "|" + r.dataset + "|" + r.scenario + "|";
+  out += DegradationRungName(r.degradation.rung);
+  out += "|" + r.degradation.cause + "|";
+  out += std::to_string(r.predicted_iterations) + "|";
+  for (const double s : r.per_iteration_seconds) {
+    std::snprintf(buf, sizeof(buf), "%.17g,", s);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf), "|%.17g|%.17g|%.17g",
+                r.predicted_superstep_seconds, r.distribution.p50_seconds,
+                r.distribution.p95_seconds);
+  out += buf;
+  out += "|" + r.runtime_model_description + "|" + r.transform_description;
+  return out;
+}
+
 void PrintBanner(const std::string& title, const std::string& paper_ref) {
   std::printf("================================================================\n");
   std::printf("%s\n", title.c_str());

@@ -51,6 +51,12 @@ double SignedError(double predicted, double actual);
 /// Formats a signed error as e.g. "+0.12" / " OOM" / "  n/a".
 std::string ErrorCell(double error);
 
+/// Everything deterministic in a prediction result, as one comparable
+/// string: the prediction, scenario and degradation, or the error.
+/// Excludes sample_wall_seconds, accounting and the stage-reuse counters
+/// (host-execution properties, not predictions).
+std::string CanonicalReport(const Result<PredictionReport>& result);
+
 /// Prints the standard bench banner.
 void PrintBanner(const std::string& title, const std::string& paper_ref);
 

@@ -332,7 +332,7 @@ void BM_DeltaOverlayScan(benchmark::State& state) {
   for (auto _ : state) {
     uint64_t sum = 0;
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      graph.ForEachOutNeighbor(v, [&](VertexId dst) { sum += dst; });
+      graph.ForEachOutEdge(v, [&](VertexId dst, float) { sum += dst; });
     }
     benchmark::DoNotOptimize(sum);
   }

@@ -123,14 +123,6 @@ uint64_t EvolvingGraph::out_degree(VertexId v) const {
   return degree;
 }
 
-std::span<const VertexId> EvolvingGraph::OutNeighborsInto(
-    VertexId v, std::vector<VertexId>* scratch) const {
-  if (overlay_.find(v) == overlay_.end()) return base_.out_neighbors(v);
-  scratch->clear();
-  ForEachOutNeighbor(v, [&](VertexId dst) { scratch->push_back(dst); });
-  return {scratch->data(), scratch->data() + scratch->size()};
-}
-
 Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
   const uint64_t v_count = num_vertices();
 
@@ -282,73 +274,6 @@ Result<const Graph*> EvolvingGraph::Current() {
     if (!compacted.ok()) return compacted;
   }
   return &base_;
-}
-
-Result<SubgraphResult> InducedSubgraph(const EvolvingGraph& graph,
-                                       const std::vector<VertexId>& vertices) {
-  // Mirrors transforms.cc's CSR-native InducedSubgraph, reading parent
-  // adjacency through the merged view instead of a compacted CSR — the
-  // outputs are byte-identical because both consume rows in canonical
-  // order.
-  const uint64_t v_count = graph.num_vertices();
-  const uint64_t k = vertices.size();
-  constexpr VertexId kAbsent = 0xFFFFFFFFu;
-
-  std::vector<VertexId> new_id(v_count, kAbsent);
-  for (uint64_t i = 0; i < k; ++i) {
-    const VertexId v = vertices[i];
-    if (v >= v_count) {
-      return Status::InvalidArgument("sampled vertex " + std::to_string(v) +
-                                     " out of range");
-    }
-    if (new_id[v] != kAbsent) {
-      return Status::InvalidArgument("duplicate vertex " + std::to_string(v) +
-                                     " in sample");
-    }
-    new_id[v] = static_cast<VertexId>(i);
-  }
-
-  std::vector<uint64_t> out_offsets(k + 1, 0);
-  std::vector<uint64_t> in_offsets(k + 1, 0);
-  for (uint64_t i = 0; i < k; ++i) {
-    graph.ForEachOutNeighbor(vertices[i], [&](VertexId t) {
-      const VertexId j = new_id[t];
-      if (j == kAbsent) return;
-      out_offsets[i + 1]++;
-      in_offsets[j + 1]++;
-    });
-  }
-  for (uint64_t i = 0; i < k; ++i) {
-    out_offsets[i + 1] += out_offsets[i];
-    in_offsets[i + 1] += in_offsets[i];
-  }
-  const uint64_t kept = out_offsets[k];
-
-  std::vector<VertexId> out_targets(kept);
-  std::vector<float> out_weights(kept);
-  std::vector<VertexId> in_sources(kept);
-  std::vector<uint64_t> in_cursor(in_offsets.begin(), in_offsets.end() - 1);
-  bool any_weight = false;
-  uint64_t out_slot = 0;
-  for (uint64_t i = 0; i < k; ++i) {
-    graph.ForEachOutEdge(vertices[i], [&](VertexId t, float w) {
-      const VertexId j = new_id[t];
-      if (j == kAbsent) return;
-      out_targets[out_slot] = j;
-      out_weights[out_slot] = w;
-      any_weight |= w != 1.0f;
-      ++out_slot;
-      in_sources[in_cursor[j]++] = static_cast<VertexId>(i);
-    });
-  }
-  if (!any_weight) out_weights.clear();
-
-  SubgraphResult result;
-  result.original_id = vertices;
-  result.graph = Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
-                                std::move(out_weights), std::move(in_offsets),
-                                std::move(in_sources));
-  return result;
 }
 
 std::vector<VertexId> DirtyOutVertices(const Graph& before,

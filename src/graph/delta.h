@@ -3,10 +3,11 @@
 // PREDIcT's pipeline assumes a frozen input graph, but production graphs
 // churn between predictions. EvolvingGraph makes that churn cheap: edge
 // insert/delete batches accumulate in a per-vertex sorted overlay on top
-// of an immutable canonical CSR (the "base"), a merged-view iterator
-// serves adjacency that algorithms and transforms consume without
-// compaction, and the overlay is compacted into a fresh CSR once it
-// crosses a size threshold.
+// of an immutable canonical CSR (the "base"), and the overlay is
+// compacted into a fresh CSR once it crosses a size threshold.
+// Algorithms, samplers and transforms read the compacted CSR that
+// Current() returns; the merged-view iterator ForEachOutEdge exists for
+// compaction itself.
 //
 // Versioned fingerprints. Every version of the edge set has a stable
 // 64-bit identity maintained incrementally: the chain is anchored at the
@@ -48,7 +49,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "graph/graph.h"
-#include "graph/transforms.h"
 
 namespace predict {
 
@@ -120,18 +120,6 @@ class EvolvingGraph {
   /// overlay without materializing anything.
   template <typename Fn>
   void ForEachOutEdge(VertexId v, Fn&& fn) const;
-
-  /// Invokes fn(dst) for each current out-edge of v in canonical order —
-  /// the same shape algorithms use on a plain Graph.
-  template <typename Fn>
-  void ForEachOutNeighbor(VertexId v, Fn&& fn) const {
-    ForEachOutEdge(v, [&](VertexId dst, float) { fn(dst); });
-  }
-
-  /// v's current out-targets decoded into `scratch` (merged view); same
-  /// contract as Graph::OutNeighborsInto.
-  std::span<const VertexId> OutNeighborsInto(
-      VertexId v, std::vector<VertexId>* scratch) const;
 
   /// Folds the overlay into a fresh canonical CSR. Strong exception
   /// safety: on failure (fail point "graph.compact") nothing changes.
@@ -238,13 +226,6 @@ void EvolvingGraph::ForEachOutEdge(VertexId v, Fn&& fn) const {
     }
   }
 }
-
-/// Induced subgraph of the evolving graph's *current* version, computed
-/// straight off the merged view (no compaction): the transform
-/// counterpart of the merged-view iterator. Output is byte-identical to
-/// InducedSubgraph(*evolving.Current(), vertices).
-Result<SubgraphResult> InducedSubgraph(const EvolvingGraph& graph,
-                                       const std::vector<VertexId>& vertices);
 
 /// Vertices whose out-row (targets or weights) differs between two
 /// same-|V| graphs, ascending — the dirty set incremental re-sampling

@@ -70,29 +70,38 @@ std::string TransformArtifact::ConfigKey() const {
   return key;
 }
 
-Result<SampleArtifact> SampleStage::Run(const Graph& graph,
-                                        const StageContext& ctx) const {
+namespace {
+
+// The one body behind SampleStage's three entry points: stamp the
+// artifact with its cache key, consult the sample.walk fail point, then
+// draw the sample.
+template <typename Draw>
+Result<SampleArtifact> RunSample(const Graph& graph,
+                                 const SamplerOptions& options,
+                                 const StageContext& ctx, Draw&& draw) {
   return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
     SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
+    artifact.key = SampleKey::For(graph, options);
     PREDICT_FAIL_POINT_CTX("sample.walk",
                            fail::HashContext(artifact.key.ToString()));
-    PREDICT_ASSIGN_OR_RETURN(artifact.sample, SampleGraph(graph, options_));
+    PREDICT_ASSIGN_OR_RETURN(artifact.sample, draw());
     return artifact;
   });
+}
+
+}  // namespace
+
+Result<SampleArtifact> SampleStage::Run(const Graph& graph,
+                                        const StageContext& ctx) const {
+  return RunSample(graph, options_, ctx,
+                   [&] { return SampleGraph(graph, options_); });
 }
 
 Result<SampleArtifact> SampleStage::RunRecorded(const Graph& graph,
                                                 SampleWalkRecord* record,
                                                 const StageContext& ctx) const {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
-    PREDICT_ASSIGN_OR_RETURN(artifact.sample,
-                             SampleGraphRecorded(graph, options_, record));
-    return artifact;
+  return RunSample(graph, options_, ctx, [&] {
+    return SampleGraphRecorded(graph, options_, record);
   });
 }
 
@@ -100,15 +109,11 @@ Result<SampleArtifact> SampleStage::RunIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated,
     IncrementalStats* stats, const StageContext& ctx) const {
-  return RunStage("sample_stage", ctx, [&]() -> Result<SampleArtifact> {
+  return RunSample(graph, options_, ctx, [&]() -> Result<Sample> {
     if (!(record.options == options_)) {
       return Status::InvalidArgument(
           "walk record was made with different sampler options");
     }
-    SampleArtifact artifact;
-    artifact.key = SampleKey::For(graph, options_);
-    PREDICT_FAIL_POINT_CTX("sample.walk",
-                           fail::HashContext(artifact.key.ToString()));
     PREDICT_ASSIGN_OR_RETURN(
         IncrementalSampleResult incremental,
         ResampleIncremental(graph, dirty, record, updated));
@@ -117,8 +122,7 @@ Result<SampleArtifact> SampleStage::RunIncremental(
       stats->segments_reused = incremental.segments_reused;
       stats->full_resample = incremental.full_resample;
     }
-    artifact.sample = std::move(incremental.sample);
-    return artifact;
+    return std::move(incremental.sample);
   });
 }
 

@@ -66,11 +66,11 @@ class SampleStage {
   };
 
   /// Re-derives the sample for a mutated `graph`, re-walking only
-  /// segments whose trajectory touched a vertex in `dirty` (see
-  /// ResampleIncremental). The artifact is bit-identical to Run(graph)
-  /// with the same options; `updated` (non-null, distinct from
-  /// `record`) receives the new walk record and `stats` (may be null)
-  /// the reuse counts.
+  /// segments whose trajectory touched a vertex in `dirty`, or walking
+  /// from scratch when ResampleIncremental decides splicing cannot pay.
+  /// The artifact is bit-identical to Run(graph) with the same options;
+  /// `updated` (non-null, distinct from `record`) receives the new walk
+  /// record and `stats` (may be null) the reuse counts.
   Result<SampleArtifact> RunIncremental(const Graph& graph,
                                         const std::vector<VertexId>& dirty,
                                         const SampleWalkRecord& record,

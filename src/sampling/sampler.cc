@@ -65,160 +65,137 @@ std::vector<VertexId> TopOutDegreeSeeds(const Graph& graph, uint64_t k) {
   return vertices;
 }
 
-// RJ and BRJ share the jump-walk skeleton; they differ only in how a
-// restart vertex is chosen.
-template <typename RestartFn>
-std::vector<VertexId> JumpWalk(const Graph& graph, const SamplerOptions& options,
-                               uint64_t target, RestartFn restart) {
-  Rng rng(options.seed);
-  PickSet picks(graph.num_vertices(), target);
-  std::vector<VertexId> scratch;
-  VertexId current = restart(rng);
-  picks.Add(current);
+bool IsSegmented(const SamplerOptions& options) {
+  return options.walk_segment_steps != 0;
+}
+
+// Everything a walk needs besides the graph, validated once: the target
+// count, the RJ/BRJ step cap, and the restart rule.
+struct WalkPlan {
+  SamplerOptions options;
+  uint64_t num_vertices = 0;
+  uint64_t target = 0;
   // Guard against pathological graphs (e.g. no outgoing edges anywhere):
-  // cap total steps at a generous multiple of the target.
-  const uint64_t max_steps = 200 * target + 1000;
-  uint64_t steps = 0;
-  while (!picks.Done() && steps < max_steps) {
-    ++steps;
-    if (rng.NextBool(options.jump_probability) ||
-        !Step(graph, rng, scratch, current)) {
-      current = restart(rng);
-    }
-    picks.Add(current);
-  }
-  // Degenerate structures may starve the walk (§3.5 limitations); fill the
-  // remainder uniformly so the requested ratio is honored.
-  while (!picks.Done()) {
-    picks.Add(static_cast<VertexId>(rng.Uniform(graph.num_vertices())));
-  }
-  return std::move(picks.order());
-}
+  // an RJ/BRJ walk takes at most this many steps.
+  uint64_t max_steps = 0;
+  // BRJ: restarts draw from this top-out-degree seed set. Empty for every
+  // other sampler, whose restarts draw uniformly from all vertices.
+  std::vector<VertexId> brj_seeds;
 
-std::vector<VertexId> RunRandomJump(const Graph& graph,
-                                    const SamplerOptions& options,
-                                    uint64_t target) {
+  VertexId Restart(Rng& rng) const {
+    return brj_seeds.empty()
+               ? static_cast<VertexId>(rng.Uniform(num_vertices))
+               : brj_seeds[rng.Uniform(brj_seeds.size())];
+  }
+};
+
+Result<WalkPlan> PlanWalk(const Graph& graph, const SamplerOptions& options) {
   const uint64_t n = graph.num_vertices();
-  return JumpWalk(graph, options, target, [n](Rng& rng) {
-    return static_cast<VertexId>(rng.Uniform(n));
-  });
+  if (n == 0) return Status::InvalidArgument("empty graph");
+  if (options.sampling_ratio <= 0.0 || options.sampling_ratio > 1.0) {
+    return Status::InvalidArgument("sampling_ratio must be in (0, 1]");
+  }
+  if (options.jump_probability < 0.0 || options.jump_probability > 1.0) {
+    return Status::InvalidArgument("jump_probability must be in [0, 1]");
+  }
+  const bool jump_walk = options.kind == SamplerKind::kRandomJump ||
+                         options.kind == SamplerKind::kBiasedRandomJump;
+  if (IsSegmented(options) && !jump_walk) {
+    return Status::InvalidArgument(
+        "walk_segment_steps requires the RJ or BRJ sampler");
+  }
+  WalkPlan plan;
+  plan.options = options;
+  plan.num_vertices = n;
+  plan.target = std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::llround(options.sampling_ratio * static_cast<double>(n))));
+  plan.max_steps = 200 * plan.target + 1000;
+  if (options.kind == SamplerKind::kBiasedRandomJump) {
+    const uint64_t k = std::max<uint64_t>(
+        1, static_cast<uint64_t>(std::llround(options.seed_fraction *
+                                              static_cast<double>(n))));
+    plan.brj_seeds = TopOutDegreeSeeds(graph, k);
+  }
+  return plan;
 }
 
-// --- Segmented walks (walk_segment_steps > 0, RJ/BRJ only) ---
-//
-// The classic JumpWalk is one sequential RNG stream: any divergence
-// cascades through the rest of the walk, so nothing survives a graph
-// mutation. Segmented mode chops the walk into fixed-length segments,
-// segment i drawing from the independent stream Rng(seed).Fork(i). A
-// segment's trajectory then depends only on the out-rows of the vertices
-// it visits — the invariant ResampleIncremental's splicing rests on.
+// The random-jump step loop behind every RJ/BRJ walk: start at a restart
+// vertex, then for up to `max_steps` steps jump (with the jump
+// probability, or at a vertex without out-edges) or follow a uniform
+// out-edge. visit(v) sees the start and every step's vertex and returns
+// false to stop the walk.
+template <typename Visit>
+void JumpWalk(const Graph& graph, const WalkPlan& plan, Rng& rng,
+              uint64_t max_steps, Visit&& visit) {
+  std::vector<VertexId> scratch;
+  VertexId current = plan.Restart(rng);
+  if (!visit(current)) return;
+  for (uint64_t step = 0; step < max_steps; ++step) {
+    if (rng.NextBool(plan.options.jump_probability) ||
+        !Step(graph, rng, scratch, current)) {
+      current = plan.Restart(rng);
+    }
+    if (!visit(current)) return;
+  }
+}
 
-// Stream id for the uniform remainder fill; far above any segment index.
+// A previous walk's record plus the vertices whose out-rows changed
+// since: the source segments are spliced from.
+struct SpliceSource {
+  const SampleWalkRecord* record;
+  std::vector<uint8_t> is_dirty;
+  uint64_t segments_reused = 0;
+
+  // Appends segment i's recorded trajectory to *visits if the record has
+  // one and it touches no dirty vertex: no visited vertex's out-row
+  // changed, so the segment walks identically on the mutated graph.
+  bool Splice(uint64_t i, std::vector<VertexId>* visits) {
+    const std::vector<uint64_t>& offsets = record->segment_offsets;
+    if (i + 1 >= offsets.size()) return false;
+    const auto first = record->visits.begin() + offsets[i];
+    const auto last = record->visits.begin() + offsets[i + 1];
+    for (auto it = first; it != last; ++it) {
+      if (is_dirty[*it]) return false;
+    }
+    visits->insert(visits->end(), first, last);
+    ++segments_reused;
+    return true;
+  }
+};
+
+// Stream id for the segmented walk's uniform remainder fill; far above
+// any segment index.
 constexpr uint64_t kFillStream = ~uint64_t{0};
 
-// Walks exactly walk_segment_steps steps (plus the starting restart),
-// appending every visited vertex to *trajectory.
-template <typename RestartFn>
-void WalkSegment(const Graph& graph, const SamplerOptions& options,
-                 uint64_t segment, RestartFn&& restart,
-                 std::vector<VertexId>* trajectory) {
-  Rng rng = Rng(options.seed).Fork(segment);
-  std::vector<VertexId> scratch;
-  VertexId current = restart(rng);
-  trajectory->push_back(current);
-  for (uint64_t s = 0; s < options.walk_segment_steps; ++s) {
-    if (rng.NextBool(options.jump_probability) ||
-        !Step(graph, rng, scratch, current)) {
-      current = restart(rng);
+// Segmented walks chop the walk into fixed-length segments, segment i
+// drawing from the independent stream Rng(seed).Fork(i). A segment's
+// trajectory then depends only on the out-rows of the vertices it visits
+// — the invariant splicing rests on. Segments are composed in order,
+// adding trajectory vertices to the pick set until the target is reached;
+// segment i is generated only while the step cap allows. `splice` (may
+// be null) lends clean segments from a previous walk.
+void ComposeSegments(const Graph& graph, const WalkPlan& plan,
+                     SpliceSource* splice, PickSet& picks,
+                     std::vector<uint64_t>* offsets,
+                     std::vector<VertexId>* visits) {
+  const uint64_t segment_steps = plan.options.walk_segment_steps;
+  offsets->assign(1, 0);
+  for (uint64_t i = 0; !picks.Done() && i * segment_steps < plan.max_steps;
+       ++i) {
+    const size_t begin = visits->size();
+    if (splice == nullptr || !splice->Splice(i, visits)) {
+      Rng rng = Rng(plan.options.seed).Fork(i);
+      JumpWalk(graph, plan, rng, segment_steps, [&](VertexId v) {
+        visits->push_back(v);
+        return true;
+      });
     }
-    trajectory->push_back(current);
-  }
-}
-
-// Composes segments in order, adding trajectory vertices to the pick set
-// until the target is reached; generates segment i only while the step
-// budget (the classic walk's max_steps cap) allows. Records full
-// trajectories when `record` is non-null.
-template <typename RestartFn>
-std::vector<VertexId> RunSegmented(const Graph& graph,
-                                   const SamplerOptions& options,
-                                   uint64_t target, RestartFn restart,
-                                   SampleWalkRecord* record) {
-  const uint64_t n = graph.num_vertices();
-  const uint64_t segment_steps = options.walk_segment_steps;
-  const uint64_t max_steps = 200 * target + 1000;
-  PickSet picks(n, target);
-  std::vector<VertexId> visits;
-  std::vector<uint64_t> offsets{0};
-  for (uint64_t i = 0; !picks.Done() && i * segment_steps < max_steps; ++i) {
-    const size_t begin = visits.size();
-    WalkSegment(graph, options, i, restart, &visits);
-    offsets.push_back(visits.size());
-    for (size_t p = begin; p < visits.size() && !picks.Done(); ++p) {
-      picks.Add(visits[p]);
+    offsets->push_back(visits->size());
+    for (size_t p = begin; p < visits->size() && !picks.Done(); ++p) {
+      picks.Add((*visits)[p]);
     }
   }
-  Rng fill = Rng(options.seed).Fork(kFillStream);
-  while (!picks.Done()) {
-    picks.Add(static_cast<VertexId>(fill.Uniform(n)));
-  }
-  if (record != nullptr) {
-    record->segment_offsets = std::move(offsets);
-    record->touched.assign(n, 0);
-    for (const VertexId v : visits) record->touched[v] = 1;
-    record->visits = std::move(visits);
-  }
-  return std::move(picks.order());
-}
-
-std::vector<VertexId> BrjSeeds(const Graph& graph,
-                               const SamplerOptions& options) {
-  const uint64_t k = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(options.seed_fraction *
-                          static_cast<double>(graph.num_vertices()))));
-  return TopOutDegreeSeeds(graph, k);
-}
-
-// Dispatches a segmented RJ/BRJ run; `record`, when non-null, also
-// receives the BRJ seed set.
-Result<std::vector<VertexId>> RunSegmentedKind(const Graph& graph,
-                                               const SamplerOptions& options,
-                                               uint64_t target,
-                                               SampleWalkRecord* record) {
-  const uint64_t n = graph.num_vertices();
-  switch (options.kind) {
-    case SamplerKind::kRandomJump:
-      return RunSegmented(
-          graph, options, target,
-          [n](Rng& rng) { return static_cast<VertexId>(rng.Uniform(n)); },
-          record);
-    case SamplerKind::kBiasedRandomJump: {
-      const std::vector<VertexId> seeds = BrjSeeds(graph, options);
-      auto picked = RunSegmented(
-          graph, options, target,
-          [&seeds](Rng& rng) { return seeds[rng.Uniform(seeds.size())]; },
-          record);
-      if (record != nullptr) record->brj_seeds = seeds;
-      return picked;
-    }
-    default:
-      return Status::InvalidArgument(
-          "walk_segment_steps requires the RJ or BRJ sampler");
-  }
-}
-
-std::vector<VertexId> RunBiasedRandomJump(const Graph& graph,
-                                          const SamplerOptions& options,
-                                          uint64_t target) {
-  const uint64_t n = graph.num_vertices();
-  const uint64_t k = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::llround(options.seed_fraction *
-                                            static_cast<double>(n))));
-  const std::vector<VertexId> seeds = TopOutDegreeSeeds(graph, k);
-  return JumpWalk(graph, options, target, [&seeds](Rng& rng) {
-    return seeds[rng.Uniform(seeds.size())];
-  });
 }
 
 // Undirected degree used by MHRW's acceptance ratio.
@@ -240,20 +217,19 @@ bool UndirectedStep(const Graph& graph, Rng& rng,
   return true;
 }
 
-std::vector<VertexId> RunMetropolisHastings(const Graph& graph,
-                                            const SamplerOptions& options,
-                                            uint64_t target) {
-  const uint64_t n = graph.num_vertices();
-  Rng rng(options.seed);
-  PickSet picks(graph.num_vertices(), target);
+// MHRW and FF (below) run on the caller's stream and pick set; Walk's
+// remainder fill continues the same stream.
+void MetropolisHastingsWalk(const Graph& graph, const WalkPlan& plan,
+                            Rng& rng, PickSet& picks) {
+  const uint64_t n = plan.num_vertices;
   std::vector<VertexId> out_scratch, in_scratch;
   VertexId current = static_cast<VertexId>(rng.Uniform(n));
   picks.Add(current);
-  const uint64_t max_steps = 400 * target + 1000;
+  const uint64_t max_steps = 400 * plan.target + 1000;
   uint64_t steps = 0;
   while (!picks.Done() && steps < max_steps) {
     ++steps;
-    if (rng.NextBool(options.jump_probability)) {
+    if (rng.NextBool(plan.options.jump_probability)) {
       current = static_cast<VertexId>(rng.Uniform(n));
       picks.Add(current);
       continue;
@@ -271,23 +247,15 @@ std::vector<VertexId> RunMetropolisHastings(const Graph& graph,
     if (ratio >= 1.0 || rng.NextDouble() < ratio) current = proposal;
     picks.Add(current);
   }
-  while (!picks.Done()) {
-    picks.Add(static_cast<VertexId>(rng.Uniform(n)));
-  }
-  return std::move(picks.order());
 }
 
-std::vector<VertexId> RunForestFire(const Graph& graph,
-                                    const SamplerOptions& options,
-                                    uint64_t target) {
-  const uint64_t n = graph.num_vertices();
-  Rng rng(options.seed);
-  PickSet picks(graph.num_vertices(), target);
+void ForestFire(const Graph& graph, const WalkPlan& plan, Rng& rng,
+                PickSet& picks) {
   std::vector<VertexId> frontier;
   std::vector<VertexId> scratch;
   while (!picks.Done()) {
     // Ignite at a random unvisited vertex.
-    VertexId seed = static_cast<VertexId>(rng.Uniform(n));
+    VertexId seed = static_cast<VertexId>(rng.Uniform(plan.num_vertices));
     picks.Add(seed);
     frontier.assign(1, seed);
     while (!frontier.empty() && !picks.Done()) {
@@ -296,12 +264,11 @@ std::vector<VertexId> RunForestFire(const Graph& graph,
       // Burn a geometric number of untouched out-neighbors.
       for (const VertexId u : graph.OutNeighborsInto(v, &scratch)) {
         if (picks.Done()) break;
-        if (!rng.NextBool(options.forward_burning_p)) continue;
+        if (!rng.NextBool(plan.options.forward_burning_p)) continue;
         if (picks.Add(u)) frontier.push_back(u);
       }
     }
   }
-  return std::move(picks.order());
 }
 
 }  // namespace
@@ -356,41 +323,72 @@ std::string SamplerOptionsKey(const SamplerOptions& options) {
 
 namespace {
 
-// Shared validation + dispatch behind SampleVertices and the recorded
-// variant; `record` non-null captures segment trajectories (segmented
-// runs only).
-Result<std::vector<VertexId>> SampleVerticesInternal(
-    const Graph& graph, const SamplerOptions& options,
-    SampleWalkRecord* record) {
-  const uint64_t n = graph.num_vertices();
-  if (n == 0) return Status::InvalidArgument("empty graph");
-  if (options.sampling_ratio <= 0.0 || options.sampling_ratio > 1.0) {
-    return Status::InvalidArgument("sampling_ratio must be in (0, 1]");
+// The one sampling path behind SampleVertices, SampleGraph,
+// SampleGraphRecorded and ResampleIncremental. `splice` (may be null)
+// lends clean segments from a previous walk; `record` (may be null)
+// receives this walk's record.
+Result<std::vector<VertexId>> Walk(const Graph& graph, const WalkPlan& plan,
+                                   SpliceSource* splice,
+                                   SampleWalkRecord* record) {
+  const SamplerOptions& options = plan.options;
+  PickSet picks(plan.num_vertices, plan.target);
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> visits;
+  // The stream the remainder fill draws from once the walk stops short.
+  Rng rng(options.seed);
+  if (IsSegmented(options)) {
+    ComposeSegments(graph, plan, splice, picks, &offsets, &visits);
+    rng = Rng(options.seed).Fork(kFillStream);
+  } else {
+    switch (options.kind) {
+      case SamplerKind::kRandomJump:
+      case SamplerKind::kBiasedRandomJump:
+        // The classic walk: one Rng(seed) stream for the whole walk and
+        // the fill. It exists only to keep today's default samples and the
+        // frozen seed sampler (tests/coldpath_reference.h) bit-identical;
+        // deleting it in favour of segmented walks waits on the accuracy
+        // ledger showing the two sample equally well.
+        JumpWalk(graph, plan, rng, plan.max_steps, [&](VertexId v) {
+          picks.Add(v);
+          return !picks.Done();
+        });
+        break;
+      case SamplerKind::kMetropolisHastingsRW:
+        MetropolisHastingsWalk(graph, plan, rng, picks);
+        break;
+      case SamplerKind::kForestFire:
+        ForestFire(graph, plan, rng, picks);
+        break;
+      default:
+        return Status::InvalidArgument("unknown sampler kind");
+    }
   }
-  if (options.jump_probability < 0.0 || options.jump_probability > 1.0) {
-    return Status::InvalidArgument("jump_probability must be in [0, 1]");
+  // Degenerate structures may starve the walk (§3.5 limitations); fill the
+  // remainder uniformly so the requested ratio is honored.
+  while (!picks.Done()) {
+    picks.Add(static_cast<VertexId>(rng.Uniform(plan.num_vertices)));
   }
-  const uint64_t target = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(options.sampling_ratio * static_cast<double>(n))));
-
-  if (options.walk_segment_steps != 0) {
-    return RunSegmentedKind(graph, options, target, record);
+  if (record != nullptr) {
+    *record = SampleWalkRecord{};
+    record->options = options;
+    record->num_vertices = plan.num_vertices;
+    if (IsSegmented(options)) {
+      record->brj_seeds = plan.brj_seeds;
+      record->segment_offsets = std::move(offsets);
+      record->touched.assign(plan.num_vertices, 0);
+      for (const VertexId v : visits) record->touched[v] = 1;
+      record->visits = std::move(visits);
+    }
   }
-  switch (options.kind) {
-    case SamplerKind::kRandomJump:
-      return RunRandomJump(graph, options, target);
-    case SamplerKind::kBiasedRandomJump:
-      return RunBiasedRandomJump(graph, options, target);
-    case SamplerKind::kMetropolisHastingsRW:
-      return RunMetropolisHastings(graph, options, target);
-    case SamplerKind::kForestFire:
-      return RunForestFire(graph, options, target);
-  }
-  return Status::InvalidArgument("unknown sampler kind");
+  return std::move(picks.order());
 }
 
-Sample AssembleSample(const Graph& graph, SubgraphResult sub) {
+Result<Sample> SampleGraphWith(const Graph& graph, const WalkPlan& plan,
+                               SpliceSource* splice,
+                               SampleWalkRecord* record) {
+  PREDICT_ASSIGN_OR_RETURN(std::vector<VertexId> vertices,
+                           Walk(graph, plan, splice, record));
+  PREDICT_ASSIGN_OR_RETURN(SubgraphResult sub, InducedSubgraph(graph, vertices));
   Sample sample;
   sample.vertices = std::move(sub.original_id);
   sample.subgraph = std::move(sub.graph);
@@ -404,137 +402,53 @@ Sample AssembleSample(const Graph& graph, SubgraphResult sub) {
 
 Result<std::vector<VertexId>> SampleVertices(const Graph& graph,
                                              const SamplerOptions& options) {
-  return SampleVerticesInternal(graph, options, nullptr);
+  PREDICT_ASSIGN_OR_RETURN(const WalkPlan plan, PlanWalk(graph, options));
+  return Walk(graph, plan, nullptr, nullptr);
 }
 
 Result<Sample> SampleGraph(const Graph& graph, const SamplerOptions& options) {
-  PREDICT_ASSIGN_OR_RETURN(std::vector<VertexId> vertices,
-                           SampleVertices(graph, options));
-  PREDICT_ASSIGN_OR_RETURN(SubgraphResult sub, InducedSubgraph(graph, vertices));
-  return AssembleSample(graph, std::move(sub));
+  PREDICT_ASSIGN_OR_RETURN(const WalkPlan plan, PlanWalk(graph, options));
+  return SampleGraphWith(graph, plan, nullptr, nullptr);
 }
 
 Result<Sample> SampleGraphRecorded(const Graph& graph,
                                    const SamplerOptions& options,
                                    SampleWalkRecord* record) {
-  *record = SampleWalkRecord{};
-  record->options = options;
-  record->graph_fingerprint = graph.Fingerprint();
-  record->num_vertices = graph.num_vertices();
-  record->num_edges = graph.num_edges();
-  record->supports_incremental =
-      options.walk_segment_steps != 0 &&
-      (options.kind == SamplerKind::kRandomJump ||
-       options.kind == SamplerKind::kBiasedRandomJump);
-  PREDICT_ASSIGN_OR_RETURN(std::vector<VertexId> vertices,
-                           SampleVerticesInternal(graph, options, record));
-  PREDICT_ASSIGN_OR_RETURN(SubgraphResult sub, InducedSubgraph(graph, vertices));
-  return AssembleSample(graph, std::move(sub));
+  PREDICT_ASSIGN_OR_RETURN(const WalkPlan plan, PlanWalk(graph, options));
+  return SampleGraphWith(graph, plan, nullptr, record);
 }
 
 Result<IncrementalSampleResult> ResampleIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated) {
   const uint64_t n = graph.num_vertices();
-  const SamplerOptions& options = record.options;
-
-  const auto full = [&]() -> Result<IncrementalSampleResult> {
-    IncrementalSampleResult result;
-    PREDICT_ASSIGN_OR_RETURN(result.sample,
-                             SampleGraphRecorded(graph, options, updated));
-    result.full_resample = true;
-    result.segments_total = updated->segment_offsets.empty()
-                                ? 0
-                                : updated->segment_offsets.size() - 1;
-    result.segments_reused = 0;
-    return result;
-  };
-
-  if (!record.supports_incremental || record.num_vertices != n) return full();
-
-  // BRJ restarts draw from the top-out-degree seed set; the recorded
-  // trajectories are only reusable if the mutated graph reproduces it
-  // exactly (every segment's restarts would shift otherwise).
-  std::vector<VertexId> seeds;
-  if (options.kind == SamplerKind::kBiasedRandomJump) {
-    seeds = BrjSeeds(graph, options);
-    if (seeds != record.brj_seeds) return full();
-  }
-
-  std::vector<uint8_t> is_dirty(n, 0);
-  for (const VertexId v : dirty) {
-    if (v >= n) return Status::InvalidArgument("dirty vertex out of range");
-    is_dirty[v] = 1;
-  }
-
-  const uint64_t segment_steps = options.walk_segment_steps;
-  const uint64_t target = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             std::llround(options.sampling_ratio * static_cast<double>(n))));
-  const uint64_t max_steps = 200 * target + 1000;
-  const uint64_t recorded_segments =
-      record.segment_offsets.empty() ? 0 : record.segment_offsets.size() - 1;
-
-  const auto restart = [&](Rng& rng) {
-    return options.kind == SamplerKind::kBiasedRandomJump
-               ? seeds[rng.Uniform(seeds.size())]
-               : static_cast<VertexId>(rng.Uniform(n));
-  };
-
+  PREDICT_ASSIGN_OR_RETURN(const WalkPlan plan,
+                           PlanWalk(graph, record.options));
   IncrementalSampleResult result;
-  PickSet picks(n, target);
-  std::vector<VertexId> visits;
-  std::vector<uint64_t> offsets{0};
-  for (uint64_t i = 0; !picks.Done() && i * segment_steps < max_steps; ++i) {
-    const size_t begin = visits.size();
-    bool reused = false;
-    if (i < recorded_segments) {
-      const uint64_t s0 = record.segment_offsets[i];
-      const uint64_t s1 = record.segment_offsets[i + 1];
-      bool clean = true;
-      for (uint64_t p = s0; p < s1; ++p) {
-        if (is_dirty[record.visits[p]]) {
-          clean = false;
-          break;
-        }
-      }
-      if (clean) {
-        // No visited vertex's out-row changed, so the segment walks
-        // identically on the mutated graph: splice the recording through.
-        visits.insert(visits.end(), record.visits.begin() + s0,
-                      record.visits.begin() + s1);
-        reused = true;
-        ++result.segments_reused;
-      }
-    }
-    if (!reused) WalkSegment(graph, options, i, restart, &visits);
-    offsets.push_back(visits.size());
-    for (size_t p = begin; p < visits.size() && !picks.Done(); ++p) {
-      picks.Add(visits[p]);
+  // Splicing needs a segmented record of a graph with the same |V| whose
+  // BRJ seed set the mutated graph reproduces exactly (every segment's
+  // restarts would shift otherwise). Past 25% dirty vertices the splice
+  // check itself stops paying.
+  result.full_resample = !IsSegmented(record.options) ||
+                         record.num_vertices != n ||
+                         plan.brj_seeds != record.brj_seeds ||
+                         dirty.size() * 4 > n;
+  SpliceSource splice{&record, {}};
+  if (!result.full_resample) {
+    splice.is_dirty.assign(n, 0);
+    for (const VertexId v : dirty) {
+      if (v >= n) return Status::InvalidArgument("dirty vertex out of range");
+      splice.is_dirty[v] = 1;
     }
   }
-  Rng fill = Rng(options.seed).Fork(kFillStream);
-  while (!picks.Done()) {
-    picks.Add(static_cast<VertexId>(fill.Uniform(n)));
-  }
-  result.segments_total = offsets.size() - 1;
-
-  *updated = SampleWalkRecord{};
-  updated->options = options;
-  updated->graph_fingerprint = graph.Fingerprint();
-  updated->num_vertices = n;
-  updated->num_edges = graph.num_edges();
-  updated->supports_incremental = true;
-  updated->brj_seeds = std::move(seeds);
-  updated->segment_offsets = std::move(offsets);
-  updated->touched.assign(n, 0);
-  for (const VertexId v : visits) updated->touched[v] = 1;
-  updated->visits = std::move(visits);
-
-  std::vector<VertexId> vertices = std::move(picks.order());
-  PREDICT_ASSIGN_OR_RETURN(SubgraphResult sub,
-                           InducedSubgraph(graph, vertices));
-  result.sample = AssembleSample(graph, std::move(sub));
+  PREDICT_ASSIGN_OR_RETURN(
+      result.sample,
+      SampleGraphWith(graph, plan, result.full_resample ? nullptr : &splice,
+                      updated));
+  result.segments_total = updated->segment_offsets.empty()
+                              ? 0
+                              : updated->segment_offsets.size() - 1;
+  result.segments_reused = splice.segments_reused;
   return result;
 }
 

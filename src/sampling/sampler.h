@@ -101,15 +101,12 @@ Result<std::vector<VertexId>> SampleVertices(const Graph& graph,
 /// identically on the mutated graph, so ResampleIncremental replays its
 /// recorded trajectory instead of re-walking it.
 struct SampleWalkRecord {
+  /// The walk's options. Only a segmented walk (walk_segment_steps > 0)
+  /// records trajectories; for any other ResampleIncremental always falls
+  /// back to a full resample.
   SamplerOptions options;
-  /// Graph::Fingerprint() of the graph this record was walked on.
-  uint64_t graph_fingerprint = 0;
+  /// |V| of the graph this record was walked on.
   uint64_t num_vertices = 0;
-  uint64_t num_edges = 0;
-  /// True iff the walk was segmented (walk_segment_steps > 0, RJ/BRJ);
-  /// false means ResampleIncremental always falls back to a full
-  /// resample.
-  bool supports_incremental = false;
   /// BRJ: the top-out-degree seed set the restarts drew from. Incremental
   /// reuse requires the mutated graph to reproduce it exactly.
   std::vector<VertexId> brj_seeds;
@@ -135,9 +132,8 @@ struct IncrementalSampleResult {
   /// record without re-walking.
   uint64_t segments_total = 0;
   uint64_t segments_reused = 0;
-  /// True when incremental maintenance was impossible (unsegmented
-  /// record, |V| changed, or the BRJ seed set shifted) and the sample
-  /// was drawn from scratch instead.
+  /// True when the sample was drawn from scratch instead (see
+  /// ResampleIncremental for when).
   bool full_resample = false;
 };
 
@@ -149,7 +145,14 @@ struct IncrementalSampleResult {
 /// record.options, ...) — a from-scratch resample of the mutated graph —
 /// at a fraction of the walk cost when the churn misses most
 /// trajectories. `updated` (non-null, distinct from `record`) receives
-/// the record for the new graph.
+/// the record for the new graph, exactly as a cold recorded walk writes
+/// it.
+///
+/// Every fallback decision is made here. The sample is walked from
+/// scratch (full_resample) when the record is unsegmented, |V| changed,
+/// the BRJ seed set shifted, or more than 25% of the vertices are dirty
+/// (past that the per-segment splice check stops paying). Callers with
+/// prior state therefore always call this, never SampleGraphRecorded.
 Result<IncrementalSampleResult> ResampleIncremental(
     const Graph& graph, const std::vector<VertexId>& dirty,
     const SampleWalkRecord& record, SampleWalkRecord* updated);

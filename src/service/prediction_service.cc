@@ -67,29 +67,27 @@ Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
     prev.swap(incremental_state_);
   }
 
+  // ResampleIncremental decides whether the prior walk can be spliced or
+  // the sample must be walked from scratch.
   pipeline::SampleArtifact artifact;
   SampleWalkRecord updated;
   pipeline::SampleStage::IncrementalStats inc_stats;
-  bool incremental_ran = false;
-  if (prev.has_value() && prev->graph.num_vertices() == graph.num_vertices()) {
-    const std::vector<VertexId> dirty = DirtyOutVertices(prev->graph, graph);
-    // Past ~25% dirty vertices the splice check itself stops paying;
-    // walk from scratch instead.
-    if (dirty.size() * 4 <= graph.num_vertices()) {
-      PREDICT_ASSIGN_OR_RETURN(
-          artifact, stages_.sample.RunIncremental(graph, dirty, prev->record,
-                                                  &updated, &inc_stats, ctx));
-      incremental_ran = true;
-    }
-  }
-  if (!incremental_ran) {
+  if (prev.has_value()) {
+    PREDICT_ASSIGN_OR_RETURN(
+        artifact, stages_.sample.RunIncremental(
+                      graph, DirtyOutVertices(prev->graph, graph),
+                      prev->record, &updated, &inc_stats, ctx));
+  } else {
     PREDICT_ASSIGN_OR_RETURN(artifact,
                              stages_.sample.RunRecorded(graph, &updated, ctx));
   }
+  // Copy the graph before taking the lock: mutex_ also guards stats_ and
+  // last_good_profiles_.
+  IncrementalState next{graph, std::move(updated)};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    incremental_state_.emplace(IncrementalState{graph, std::move(updated)});
-    if (incremental_ran && !inc_stats.full_resample) {
+    incremental_state_.emplace(std::move(next));
+    if (prev.has_value() && !inc_stats.full_resample) {
       ++stats_.incremental_sample_updates;
       stats_.incremental_segments_reused += inc_stats.segments_reused;
     }

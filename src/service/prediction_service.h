@@ -176,8 +176,9 @@ class PredictionService {
   using SamplePtr = std::shared_ptr<const pipeline::SampleArtifact>;
   using ProfilePtr = std::shared_ptr<const pipeline::ProfileArtifact>;
 
-  /// Computes the sample artifact on a cache miss: incrementally from
-  /// the retained previous walk when possible, from scratch otherwise.
+  /// Computes the sample artifact on a cache miss: through
+  /// RunIncremental when a previous walk is retained (ResampleIncremental
+  /// decides whether splicing pays), through RunRecorded otherwise.
   Result<SamplePtr> ComputeSampleArtifact(const Graph& graph,
                                           const pipeline::StageContext& ctx);
 

@@ -778,7 +778,7 @@ TEST_F(ChaosDeltaCompactionTest, FaultedAutoCompactionKeepsBatchApplied) {
   EXPECT_EQ(g.overlay_edges(), 70u);
   uint64_t in99 = 0;
   for (VertexId v = 0; v < 70; ++v) {
-    g.ForEachOutNeighbor(v, [&](VertexId d) { in99 += d == 99 ? 1 : 0; });
+    g.ForEachOutEdge(v, [&](VertexId d, float) { in99 += d == 99 ? 1 : 0; });
   }
   EXPECT_GE(in99, 70u);
   const uint64_t fp = g.VersionFingerprint();

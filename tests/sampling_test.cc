@@ -252,24 +252,37 @@ TEST(SegmentedSamplerTest, RejectsNonJumpSamplers) {
 
 TEST(SegmentedSamplerTest, RecordedSampleMatchesPlainSample) {
   const Graph g = ScaleFree(6000);
-  for (const SamplerKind kind :
-       {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump}) {
-    const SamplerOptions options = SegmentedOptions(kind, 0.1, 200);
-    SampleWalkRecord record;
-    auto recorded = SampleGraphRecorded(g, options, &record);
-    auto plain = SampleGraph(g, options);
-    ASSERT_TRUE(recorded.ok());
-    ASSERT_TRUE(plain.ok());
-    EXPECT_EQ(recorded->vertices, plain->vertices);
-    EXPECT_EQ(recorded->subgraph.Fingerprint(), plain->subgraph.Fingerprint());
-    EXPECT_TRUE(record.supports_incremental);
-    EXPECT_EQ(record.graph_fingerprint, g.Fingerprint());
-    ASSERT_GT(record.segment_offsets.size(), 1u);
-    EXPECT_EQ(record.segment_offsets.back(), record.visits.size());
-    // Every recorded visit is marked touched.
-    for (const VertexId v : record.visits) EXPECT_TRUE(record.touched[v]);
-    if (kind == SamplerKind::kBiasedRandomJump) {
-      EXPECT_FALSE(record.brj_seeds.empty());
+  // Target 600 vertices: the walk's step cap is 200 * 600 + 1000.
+  const uint64_t step_cap = 200 * 600 + 1000;
+  // One-step segments, the usual length, and one segment longer than the
+  // whole step cap.
+  for (const uint64_t segment_steps : {uint64_t{1}, uint64_t{200},
+                                       step_cap + 1}) {
+    for (const SamplerKind kind :
+         {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump}) {
+      SCOPED_TRACE(segment_steps);
+      const SamplerOptions options = SegmentedOptions(kind, 0.1, segment_steps);
+      SampleWalkRecord record;
+      auto recorded = SampleGraphRecorded(g, options, &record);
+      auto plain = SampleGraph(g, options);
+      ASSERT_TRUE(recorded.ok());
+      ASSERT_TRUE(plain.ok());
+      EXPECT_EQ(recorded->vertices, plain->vertices);
+      EXPECT_EQ(recorded->vertices.size(), 600u);
+      EXPECT_EQ(recorded->subgraph.Fingerprint(),
+                plain->subgraph.Fingerprint());
+      ASSERT_GT(record.segment_offsets.size(), 1u);
+      EXPECT_EQ(record.segment_offsets.back(), record.visits.size());
+      // Every segment walks exactly segment_steps steps after its start.
+      for (size_t i = 0; i + 1 < record.segment_offsets.size(); ++i) {
+        EXPECT_EQ(record.segment_offsets[i + 1] - record.segment_offsets[i],
+                  segment_steps + 1);
+      }
+      // Every recorded visit is marked touched.
+      for (const VertexId v : record.visits) EXPECT_TRUE(record.touched[v]);
+      if (kind == SamplerKind::kBiasedRandomJump) {
+        EXPECT_FALSE(record.brj_seeds.empty());
+      }
     }
   }
 }
@@ -280,7 +293,8 @@ TEST(SegmentedSamplerTest, ClassicRecordDoesNotSupportIncremental) {
   auto sample =
       SampleGraphRecorded(g, Options(SamplerKind::kRandomJump, 0.1), &record);
   ASSERT_TRUE(sample.ok());
-  EXPECT_FALSE(record.supports_incremental);
+  EXPECT_TRUE(record.segment_offsets.empty());
+  EXPECT_TRUE(record.visits.empty());
 }
 
 // ----------------------------------------------------- incremental resample
@@ -353,7 +367,6 @@ TEST(IncrementalSampleTest, BitIdenticalToColdResampleOnMutatedGraph) {
   EXPECT_EQ(incremental->sample.realized_ratio, cold->realized_ratio);
   // The updated record must be exactly what a cold recorded walk writes:
   // it is the splice source for the *next* mutation.
-  EXPECT_EQ(updated.graph_fingerprint, cold_record.graph_fingerprint);
   EXPECT_EQ(updated.segment_offsets, cold_record.segment_offsets);
   EXPECT_EQ(updated.visits, cold_record.visits);
   EXPECT_EQ(updated.touched, cold_record.touched);
@@ -430,6 +443,36 @@ TEST(IncrementalSampleTest, UnsegmentedRecordFallsBackToFullResample) {
   auto cold = SampleGraph(mutated, options);
   ASSERT_TRUE(cold.ok());
   EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+}
+
+TEST(IncrementalSampleTest, MostlyDirtyGraphWalksFromScratch) {
+  const Graph base = EvolvingGraph::Canonicalize(ScaleFree(8000));
+  const SamplerOptions options =
+      SegmentedOptions(SamplerKind::kRandomJump, 0.1, 256);
+  SampleWalkRecord record;
+  ASSERT_TRUE(SampleGraphRecorded(base, options, &record).ok());
+
+  auto [mutated, dirty] = Mutate(base, 0.1, 17);
+  ASSERT_GT(dirty.size() * 4, mutated.num_vertices());
+  SampleWalkRecord updated;
+  auto incremental = ResampleIncremental(mutated, dirty, record, &updated);
+  ASSERT_TRUE(incremental.ok());
+  EXPECT_TRUE(incremental->full_resample);
+  EXPECT_EQ(incremental->segments_reused, 0u);
+
+  SampleWalkRecord cold_record;
+  auto cold = SampleGraphRecorded(mutated, options, &cold_record);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_EQ(incremental->sample.vertices, cold->vertices);
+  EXPECT_EQ(incremental->sample.subgraph.Fingerprint(),
+            cold->subgraph.Fingerprint());
+  EXPECT_EQ(incremental->segments_total, cold_record.segment_offsets.size() - 1);
+  EXPECT_EQ(updated.options, cold_record.options);
+  EXPECT_EQ(updated.num_vertices, cold_record.num_vertices);
+  EXPECT_EQ(updated.brj_seeds, cold_record.brj_seeds);
+  EXPECT_EQ(updated.segment_offsets, cold_record.segment_offsets);
+  EXPECT_EQ(updated.visits, cold_record.visits);
+  EXPECT_EQ(updated.touched, cold_record.touched);
 }
 
 TEST(IncrementalSampleTest, RejectsOutOfRangeDirtyVertex) {
