@@ -365,7 +365,8 @@ void BM_DeltaCompaction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(BenchGraph().num_edges()));
 }
-BENCHMARK(BM_DeltaCompaction)->Arg(1)->Arg(10)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeltaCompaction)->Arg(1)->Arg(10)->Arg(25)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

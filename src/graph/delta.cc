@@ -60,6 +60,68 @@ Graph GraphFromCanonicalRows(uint64_t v_count,
                         std::move(in_sources));
 }
 
+// Every in-row lists its sources in ascending order (a source appears
+// once per parallel edge). Canonicalize and Compact both produce this
+// order, and Compact's in-row merge relies on it.
+[[maybe_unused]] bool InRowsAscending(const Graph& g) {
+  for (uint64_t v = 0; v < g.num_vertices(); ++v) {
+    const auto row = g.in_neighbors(static_cast<VertexId>(v));
+    if (!std::is_sorted(row.begin(), row.end())) return false;
+  }
+  return true;
+}
+
+// One overlay entry seen from its target: `src` gains (add) or loses
+// one in-edge occurrence into `dst`.
+struct InDelta {
+  VertexId dst;
+  VertexId src;
+  bool add;
+};
+
+// An InDelta once bucketed by target.
+struct SourceDelta {
+  VertexId src;
+  bool add;
+};
+
+// Builds one CSR direction by patching the base's: each row in `dirty`
+// (ascending) is rewritten by write_row(k, slot), which stores the k-th
+// dirty row's new ids from `slot` on and returns their count. Every run
+// of clean rows between two dirty ones is copied in bulk, ids and (when
+// `base_weights` is non-empty) weights, with its offsets shifted by the
+// size change so far.
+template <typename WriteRow>
+void PatchRows(std::span<const uint64_t> base_offsets,
+               std::span<const VertexId> base_ids,
+               std::span<const float> base_weights,
+               std::span<const VertexId> dirty, uint64_t* offsets,
+               VertexId* ids, float* weights, WriteRow&& write_row) {
+  int64_t shift = 0;  // new minus base offset past the last row written
+  uint64_t run = 0;   // first row of the pending clean run
+  const auto copy_run = [&](uint64_t end) {
+    if (end == run) return;
+    const uint64_t from = base_offsets[run];
+    const uint64_t count = base_offsets[end] - from;
+    std::copy_n(base_ids.data() + from, count, ids + offsets[run]);
+    if (!base_weights.empty()) {
+      std::copy_n(base_weights.data() + from, count, weights + offsets[run]);
+    }
+    for (uint64_t v = run; v < end; ++v) {
+      offsets[v + 1] = base_offsets[v + 1] + static_cast<uint64_t>(shift);
+    }
+  };
+  offsets[0] = 0;
+  for (size_t k = 0; k < dirty.size(); ++k) {
+    const uint64_t v = dirty[k];
+    copy_run(v);
+    offsets[v + 1] = offsets[v] + write_row(k, offsets[v]);
+    shift = static_cast<int64_t>(offsets[v + 1] - base_offsets[v + 1]);
+    run = v + 1;
+  }
+  copy_run(base_offsets.size() - 1);
+}
+
 }  // namespace
 
 Graph EvolvingGraph::Canonicalize(Graph g) {
@@ -96,6 +158,7 @@ Graph EvolvingGraph::Canonicalize(Graph g) {
 
 EvolvingGraph::EvolvingGraph(Graph base)
     : base_(Canonicalize(std::move(base))) {
+  assert(InRowsAscending(base_));
   version_fp_ = base_.EdgeSetHash();
 }
 
@@ -222,30 +285,134 @@ Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
   return Status::OK();
 }
 
+Graph EvolvingGraph::PatchedBase() const {
+  const uint64_t v_count = num_vertices();
+  const uint64_t e_count = num_edges();
+
+  // Out-CSR. Weights exist only when the base has them or an add brings
+  // a non-1.0 one (allocated on the first such add: every slot before it
+  // holds 1.0 either way). The merge also lists each dirty row's changes
+  // seen from their targets, in ascending source order, counted per
+  // target.
+  std::vector<uint64_t> out_offsets(v_count + 1);
+  std::vector<VertexId> out_targets(e_count);
+  std::vector<float> out_weights(base_.is_weighted() ? e_count : 0);
+  std::vector<InDelta> in_deltas;
+  in_deltas.reserve(overlay_entries_);
+  std::vector<uint64_t> cursor(v_count + 1, 0);
+  {
+    // The overlay's rows in ascending source order, walked bucket by
+    // bucket: each bucket is an independent load, whereas the node list
+    // is one long chain of dependent ones.
+    std::vector<const VertexDelta*> by_source(v_count, nullptr);
+    for (size_t b = 0; b < overlay_.bucket_count(); ++b) {
+      for (auto it = overlay_.cbegin(b); it != overlay_.cend(b); ++it) {
+        by_source[it->first] = &it->second;
+      }
+    }
+    std::vector<VertexId> dirty_sources;
+    dirty_sources.reserve(overlay_.size());
+    for (uint64_t v = 0; v < v_count; ++v) {
+      if (by_source[v] != nullptr) {
+        dirty_sources.push_back(static_cast<VertexId>(v));
+      }
+    }
+    PatchRows(
+        base_.out_offsets(), base_.out_targets(), base_.out_weights(),
+        dirty_sources, out_offsets.data(), out_targets.data(),
+        out_weights.data(), [&](size_t k, uint64_t slot) {
+          const VertexId v = dirty_sources[k];
+          const VertexDelta& delta = *by_source[v];
+          const auto targets = base_.out_neighbors(v);
+          const std::span<const float> weights =
+              base_.is_weighted() ? base_.out_weights(v)
+                                  : std::span<const float>{};
+          uint64_t s = slot;
+          MergeRow(targets, weights, delta, [&](VertexId dst, float w) {
+            out_targets[s] = dst;
+            if (w != 1.0f && out_weights.empty()) {
+              out_weights.assign(e_count, 1.0f);
+            }
+            if (!out_weights.empty()) out_weights[s] = w;
+            ++s;
+          });
+          for (const auto& add : delta.adds) {
+            in_deltas.push_back({add.first, v, true});
+            ++cursor[add.first + 1];
+          }
+          for (const VertexId dst : delta.removes) {
+            in_deltas.push_back({dst, v, false});
+            ++cursor[dst + 1];
+          }
+          assert(s - slot ==
+                 targets.size() + delta.adds.size() - delta.removes.size());
+          return s - slot;
+        });
+    assert(out_offsets[v_count] == e_count);
+  }
+
+  // In-CSR. A stable counting sort buckets the in-deltas by target, so
+  // every bucket is ascending by source like the base in-rows it merges
+  // into; no comparison sort is needed. Afterwards target t's bucket is
+  // [cursor[t - 1], cursor[t]). Each scratch array is released once dead,
+  // so its pages can back the next allocation.
+  std::vector<VertexId> dirty_targets;
+  for (uint64_t t = 0; t < v_count; ++t) {
+    if (cursor[t + 1] != 0) dirty_targets.push_back(static_cast<VertexId>(t));
+    cursor[t + 1] += cursor[t];
+  }
+  std::vector<SourceDelta> by_target(in_deltas.size());
+  for (const InDelta& d : in_deltas) {
+    by_target[cursor[d.dst]++] = {d.src, d.add};
+  }
+  in_deltas = std::vector<InDelta>();
+  // A remove's store lands on the next slot, which the next row
+  // overwrites; the spare slot covers the last row.
+  std::vector<uint64_t> in_offsets(v_count + 1);
+  std::vector<VertexId> in_sources(e_count + 1);
+  PatchRows(base_.in_offsets(), base_.in_sources(), {}, dirty_targets,
+            in_offsets.data(), in_sources.data(), nullptr,
+            [&](size_t k, uint64_t slot) {
+              const VertexId t = dirty_targets[k];
+              const auto base_row = base_.in_neighbors(t);
+              uint64_t s = slot;
+              size_t b = 0;
+              for (uint64_t i = t == 0 ? 0 : cursor[t - 1]; i < cursor[t];
+                   ++i) {
+                const SourceDelta d = by_target[i];
+                while (b < base_row.size() && base_row[b] < d.src) {
+                  in_sources[s++] = base_row[b++];
+                }
+                // An add emits its source; a remove consumes the
+                // surviving base occurrence at b. Both store, so the
+                // merge has no branch on the kind.
+                assert(d.add || (b < base_row.size() && base_row[b] == d.src));
+                in_sources[s] = d.src;
+                s += d.add ? 1 : 0;
+                b += d.add ? 0 : 1;
+              }
+              while (b < base_row.size()) in_sources[s++] = base_row[b++];
+              return s - slot;
+            });
+  assert(in_offsets[v_count] == e_count);
+  in_sources.pop_back();
+
+  // Deleting the last non-1.0 edge makes the version unweighted.
+  if (std::none_of(out_weights.begin(), out_weights.end(),
+                   [](float w) { return w != 1.0f; })) {
+    out_weights = std::vector<float>();
+  }
+  return Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
+                        std::move(out_weights), std::move(in_offsets),
+                        std::move(in_sources));
+}
+
 Status EvolvingGraph::Compact() {
   if (!dirty()) return Status::OK();
-  const uint64_t v_count = num_vertices();
-
   // Build the fresh CSR entirely off to the side; the members are not
   // touched until the very end (strong exception safety — a fault below
   // leaves the current version fully intact).
-  std::vector<uint64_t> out_offsets(v_count + 1, 0);
-  for (uint64_t v = 0; v < v_count; ++v) {
-    out_offsets[v + 1] =
-        out_offsets[v] + out_degree(static_cast<VertexId>(v));
-  }
-  const uint64_t e_count = out_offsets[v_count];
-  std::vector<VertexId> out_targets(e_count);
-  std::vector<float> out_weights(e_count, 1.0f);
-  for (uint64_t v = 0; v < v_count; ++v) {
-    uint64_t slot = out_offsets[v];
-    ForEachOutEdge(static_cast<VertexId>(v), [&](VertexId dst, float w) {
-      out_targets[slot] = dst;
-      out_weights[slot] = w;
-      ++slot;
-    });
-    assert(slot == out_offsets[v + 1]);
-  }
+  Graph fresh = PatchedBase();
 
   // The fault point sits between building and installing: an injected
   // compaction fault can never leave a half-built CSR visible.
@@ -257,10 +424,8 @@ Status EvolvingGraph::Compact() {
     if (!faulted.ok()) return StatusAnnotate(faulted, "graph_compact");
   }
 
-  Graph fresh = GraphFromCanonicalRows(v_count, std::move(out_offsets),
-                                       std::move(out_targets),
-                                       std::move(out_weights));
   assert(fresh.EdgeSetHash() == VersionFingerprint());
+  assert(InRowsAscending(fresh));
   base_ = std::move(fresh);
   overlay_.clear();
   overlay_entries_ = 0;

@@ -6,8 +6,15 @@
 // of an immutable canonical CSR (the "base"), and the overlay is
 // compacted into a fresh CSR once it crosses a size threshold.
 // Algorithms, samplers and transforms read the compacted CSR that
-// Current() returns; the merged-view iterator ForEachOutEdge exists for
-// compaction itself.
+// Current() returns.
+//
+// Compaction patches the base CSR in both directions instead of
+// rebuilding it: offsets come from one O(V) running-shift pass, every
+// run of rows the overlay does not touch is copied in bulk, and only the
+// dirty out-rows (base row merged with the vertex's adds and removes)
+// and dirty in-rows (base sources merged with the target's in-deltas)
+// are rewritten. The work beyond the O(V + E) copy scales with the
+// overlay, not with the graph.
 //
 // Versioned fingerprints. Every version of the edge set has a stable
 // 64-bit identity maintained incrementally: the chain is anchored at the
@@ -26,7 +33,10 @@
 // bits). The base is normalized on construction (Canonicalize), merges
 // preserve the order, and compaction emits it — a cold
 // Canonicalize(Graph::FromEdges(mutated edge list)) is byte-identical
-// to the evolved graph's compacted CSR.
+// to the evolved graph's compacted CSR, in both directions. The in-CSR
+// has a canonical order too: every in-row lists its sources ascending
+// (once per parallel edge). Canonicalize and Compact both produce it,
+// Compact's in-row merge relies on it, and debug builds assert it.
 //
 // Failure semantics: Apply validates the whole batch before mutating
 // anything (unknown vertex, delete of a non-existent edge, duplicate
@@ -121,8 +131,14 @@ class EvolvingGraph {
   template <typename Fn>
   void ForEachOutEdge(VertexId v, Fn&& fn) const;
 
-  /// Folds the overlay into a fresh canonical CSR. Strong exception
-  /// safety: on failure (fail point "graph.compact") nothing changes.
+  /// Folds the overlay into a fresh canonical CSR by patching the base:
+  /// O(V) offset passes and bulk copies of clean rows in both
+  /// directions, plus merges of the dirty out-rows and the dirty
+  /// in-rows (targets of an overlay entry) only. A weights array exists
+  /// only if the base is weighted or an add has a weight != 1.0, and a
+  /// version whose weights are all 1.0 comes out unweighted. Strong
+  /// exception safety: on failure (fail point "graph.compact") nothing
+  /// changes.
   Status Compact();
 
   /// The compacted current version (compacting first if dirty). The
@@ -154,6 +170,17 @@ class EvolvingGraph {
     std::vector<VertexId> removes;
   };
 
+  /// The current version as a fresh canonical CSR, patched from the base
+  /// (see Compact()). Leaves the members untouched.
+  Graph PatchedBase() const;
+
+  /// Emits fn(dst, weight) for a base row (`weights` empty when the base
+  /// is unweighted) merged with its pending delta, in canonical order.
+  template <typename Fn>
+  static void MergeRow(std::span<const VertexId> targets,
+                       std::span<const float> weights,
+                       const VertexDelta& delta, Fn&& fn);
+
   /// Occurrences of dst surviving in v's base row = multiplicity in the
   /// base minus pending removes.
   uint64_t SurvivingBaseCount(VertexId v, VertexId dst) const;
@@ -171,60 +198,51 @@ void EvolvingGraph::ForEachOutEdge(VertexId v, Fn&& fn) const {
   const auto targets = base_.out_neighbors(v);
   const std::span<const float> weights =
       base_.is_weighted() ? base_.out_weights(v) : std::span<const float>{};
+  const auto it = overlay_.find(v);
+  if (it == overlay_.end()) {
+    for (size_t i = 0; i < targets.size(); ++i) {
+      fn(targets[i], weights.empty() ? 1.0f : weights[i]);
+    }
+    return;
+  }
+  MergeRow(targets, weights, it->second, fn);
+}
+
+template <typename Fn>
+void EvolvingGraph::MergeRow(std::span<const VertexId> targets,
+                             std::span<const float> weights,
+                             const VertexDelta& delta, Fn&& fn) {
   const auto weight_at = [&](size_t i) {
     return weights.empty() ? 1.0f : weights[i];
   };
-  const auto it = overlay_.find(v);
-  if (it == overlay_.end()) {
-    for (size_t i = 0; i < targets.size(); ++i) fn(targets[i], weight_at(i));
-    return;
-  }
-  const VertexDelta& delta = it->second;
-  // Merge the base row (minus removed occurrences) with the adds; both
-  // sides are sorted by (dst, weight bits), ties emit base first.
+  const auto weight_bits = [](float w) {
+    uint32_t bits;
+    std::memcpy(&bits, &w, sizeof(bits));
+    return bits;
+  };
   size_t bi = 0;
-  size_t ai = 0;
   size_t ri = 0;  // cursor into the sorted remove multiset
-  while (bi < targets.size() || ai < delta.adds.size()) {
-    // Skip base occurrences consumed by pending removes: the k removes
-    // recorded for a dst consume its first k base occurrences.
-    if (bi < targets.size() && ri < delta.removes.size() &&
-        delta.removes[ri] == targets[bi]) {
-      ++bi;
-      ++ri;
-      continue;
-    }
-    if (ai >= delta.adds.size()) {
+  // Emits base slots from bi on while before(bi) holds, skipping the ones
+  // pending removes consume: the k removes recorded for a dst consume its
+  // first k base occurrences.
+  const auto emit_base_while = [&](auto before) {
+    for (; bi < targets.size() && before(bi); ++bi) {
+      if (ri < delta.removes.size() && delta.removes[ri] == targets[bi]) {
+        ++ri;
+        continue;
+      }
       fn(targets[bi], weight_at(bi));
-      ++bi;
-      continue;
     }
-    if (bi >= targets.size()) {
-      fn(delta.adds[ai].first, delta.adds[ai].second);
-      ++ai;
-      continue;
-    }
-    const VertexId bd = targets[bi];
-    const VertexId ad = delta.adds[ai].first;
-    bool base_first;
-    if (bd != ad) {
-      base_first = bd < ad;
-    } else {
-      uint32_t bw;
-      uint32_t aw;
-      const float bwf = weight_at(bi);
-      std::memcpy(&bw, &bwf, sizeof(bw));
-      std::memcpy(&aw, &delta.adds[ai].second, sizeof(aw));
-      base_first = bw <= aw;
-    }
-    if (base_first) {
-      fn(targets[bi], weight_at(bi));
-      ++bi;
-    } else {
-      fn(delta.adds[ai].first, delta.adds[ai].second);
-      ++ai;
-    }
+  };
+  // Both sides are sorted by (dst, weight bits); ties emit base first.
+  for (const auto& [dst, w] : delta.adds) {
+    emit_base_while([&](size_t i) {
+      return targets[i] < dst ||
+             (targets[i] == dst && weight_bits(weight_at(i)) <= weight_bits(w));
+    });
+    fn(dst, w);
   }
+  emit_base_while([](size_t) { return true; });
 }
 
 /// Vertices whose out-row (targets or weights) differs between two

@@ -13,6 +13,7 @@
 #include "graph/delta.h"
 #include "graph/graph.h"
 #include "graph/transforms.h"
+#include "tests/csr_equal.h"
 
 namespace predict {
 namespace {
@@ -163,6 +164,45 @@ TEST(DeltaOverlayTest, WeightedInsertsMergeInCanonicalOrder) {
   auto current = g.Current();
   ASSERT_TRUE(current.ok());
   EXPECT_EQ((*current)->ToEdgeList(), overlaid);
+
+  const auto cold_canonical = [](VertexId n, std::vector<Edge> edges) {
+    auto cold = Graph::FromEdges(n, std::move(edges));
+    EXPECT_TRUE(cold.ok());
+    return EvolvingGraph::Canonicalize(cold.MoveValue());
+  };
+  // Deleting every non-1.0 edge of a weighted base leaves it unweighted.
+  {
+    auto weighted = Graph::FromEdges(
+        4, {{0, 1, 2.0f}, {0, 1, 1.0f}, {1, 2, 1.0f}, {2, 3, 0.5f},
+            {3, 0, 1.0f}, {2, 1, 1.0f}});
+    ASSERT_TRUE(weighted.ok());
+    EvolvingGraph h(weighted.MoveValue());
+    h.set_compaction_threshold(1e9);
+    // Both (0, 1) occurrences go and a 1.0 one comes back.
+    ASSERT_TRUE(h.Apply({EdgeDelta::Delete(0, 1), EdgeDelta::Delete(0, 1),
+                         EdgeDelta::Insert(0, 1), EdgeDelta::Delete(2, 3)})
+                    .ok());
+    auto compacted = h.Current();
+    ASSERT_TRUE(compacted.ok());
+    EXPECT_FALSE((*compacted)->is_weighted());
+    EXPECT_TRUE((*compacted)->out_weights().empty());
+    EXPECT_TRUE(testing::SameCsr(
+        **compacted,
+        cold_canonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f}, {3, 0, 1.0f},
+                           {2, 1, 1.0f}})));
+  }
+  // One non-1.0 insert makes an unweighted base weighted.
+  {
+    EvolvingGraph h(MakeChain(4));
+    h.set_compaction_threshold(1e9);
+    ASSERT_TRUE(h.Apply({EdgeDelta::Insert(3, 1, 2.5f)}).ok());
+    auto compacted = h.Current();
+    ASSERT_TRUE(compacted.ok());
+    EXPECT_TRUE((*compacted)->is_weighted());
+    EXPECT_TRUE(testing::SameCsr(
+        **compacted, cold_canonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f},
+                                        {2, 3, 1.0f}, {3, 1, 2.5f}})));
+  }
 }
 
 // ---------------------------------------------------------- validation
@@ -294,6 +334,34 @@ TEST(DeltaCompactionTest, CompactedBytesMatchColdCanonicalBuild) {
   g.set_compaction_threshold(1e9);
   Rng rng(17);
   EdgeDeltaBatch batch;
+  // A delete consumes the lowest-weight surviving occurrence of (src, dst).
+  const auto delete_edge = [&](VertexId src, VertexId dst) {
+    auto victim = edges.end();
+    for (auto it = edges.begin(); it != edges.end(); ++it) {
+      if (it->src == src && it->dst == dst &&
+          (victim == edges.end() || it->weight < victim->weight)) {
+        victim = it;
+      }
+    }
+    ASSERT_NE(victim, edges.end());
+    edges.erase(victim);
+    batch.push_back(EdgeDelta::Delete(src, dst));
+  };
+  // One occurrence of a parallel edge, then a spread of plain deletes.
+  std::vector<Edge> by_pair = edges;
+  std::sort(by_pair.begin(), by_pair.end(), [](const Edge& a, const Edge& b) {
+    return std::pair(a.src, a.dst) < std::pair(b.src, b.dst);
+  });
+  const auto parallel = std::adjacent_find(
+      by_pair.begin(), by_pair.end(), [](const Edge& a, const Edge& b) {
+        return a.src == b.src && a.dst == b.dst;
+      });
+  ASSERT_NE(parallel, by_pair.end());
+  delete_edge(parallel->src, parallel->dst);
+  for (int i = 0; i < 12; ++i) {
+    const Edge victim = edges[rng.Uniform(edges.size())];
+    delete_edge(victim.src, victim.dst);
+  }
   for (int i = 0; i < 20; ++i) {
     const Edge e = {static_cast<VertexId>(rng.Uniform(32)),
                     static_cast<VertexId>(rng.Uniform(32)),
@@ -309,6 +377,7 @@ TEST(DeltaCompactionTest, CompactedBytesMatchColdCanonicalBuild) {
   const Graph canon = EvolvingGraph::Canonicalize(cold.MoveValue());
   EXPECT_EQ((*current)->Fingerprint(), canon.Fingerprint());
   EXPECT_EQ((*current)->ToEdgeList(), canon.ToEdgeList());
+  EXPECT_TRUE(testing::SameCsr(**current, canon));
 }
 
 TEST(DeltaCompactionTest, CurrentIsStableWhenClean) {

@@ -15,6 +15,7 @@
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "service/prediction_service.h"
+#include "tests/csr_equal.h"
 
 namespace predict {
 namespace {
@@ -239,6 +240,13 @@ TEST(DeltaVersioningProperty, FingerprintEqualsEdgeSetAcrossInterleavings) {
       // the compacted edge set's hash.
       EXPECT_EQ(copy.VersionFingerprint(), snap.fp);
       EXPECT_EQ((*current)->EdgeSetHash(), snap.fp);
+      // Both compacted CSR directions equal a cold canonical build.
+      auto cold = Graph::FromEdges(
+          static_cast<VertexId>(base.num_vertices()), snap.edges);
+      ASSERT_TRUE(cold.ok());
+      EXPECT_TRUE(testing::SameCsr(
+          **current, EvolvingGraph::Canonicalize(cold.MoveValue())))
+          << "seed " << seed << " step " << step;
       snapshots.push_back(std::move(snap));
     }
   }
