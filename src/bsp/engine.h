@@ -82,6 +82,8 @@ inline const char* SuperstepPathName(SuperstepPath path) {
 /// Configuration of one BSP job. Matches the paper's assumption (iii)
 /// that sample runs and actual runs share the execution framework and
 /// system configuration: PREDIcT passes the same EngineOptions to both.
+/// It describes the deployment only; properties of the input graph, such
+/// as Graph::edges_compressed(), are read from the graph at Run time.
 struct EngineOptions {
   /// Simulated workers. The paper's cluster runs 29 workers + 1 master.
   uint32_t num_workers = 29;
@@ -114,12 +116,6 @@ struct EngineOptions {
   /// bench/micro_substrate.cc (BM_DenseSuperstep vs BM_SparseActivation);
   /// the choice never affects results, only host wall clock.
   double dense_path_threshold = 0.6;
-
-  /// Must match Graph::edges_compressed() of the input graph — the
-  /// engine rejects a mismatch rather than silently running a config
-  /// whose cache key (EngineOptionsKey) disagrees with the graph
-  /// representation actually executed.
-  bool compressed_graph = false;
 
   CostProfile cost_profile;
 };
@@ -287,16 +283,6 @@ Result<RunStats> EngineState<V, M>::Run(Program* program) {
   if (num_workers_ == 0) return Status::InvalidArgument("num_workers == 0");
   if (options_.max_supersteps <= 0) {
     return Status::InvalidArgument("max_supersteps must be positive");
-  }
-  if (options_.compressed_graph != graph_->edges_compressed()) {
-    // A silent mismatch would run a representation the cache key
-    // (scenario EngineOptionsKey) does not describe; fail loudly instead.
-    return Status::InvalidArgument(
-        options_.compressed_graph
-            ? "EngineOptions.compressed_graph is set but the input graph "
-              "stores plain edges"
-            : "input graph stores compressed edges but "
-              "EngineOptions.compressed_graph is unset");
   }
 
   // Partition the vertex space ("the read phase assigns partitions").

@@ -10,13 +10,12 @@
 // over there?" for deployments it has never executed on.
 //
 // Scenarios flow end to end: ToEngineOptions() configures a run,
-// pipeline::ProfileStage stamps its artifact with the scenario's
-// canonical key, PredictionService keys its profile cache on it (a
-// profile measured under one scenario never answers for another), and
-// PredictionService::PredictScenarios (and Predictor::PredictAcrossScenarios,
-// which runs on a single-use service) sweep one (algorithm, dataset)
-// over many scenarios as one request per scenario, reusing the sampled
-// subgraph through the sample cache.
+// PredictionService keys its profile cache on the EngineOptionsKey of
+// those options (a profile measured under one scenario never answers
+// for another), and PredictionService::PredictScenarios (and
+// Predictor::PredictAcrossScenarios, which runs on a single-use service)
+// sweep one (algorithm, dataset) over many scenarios as one request per
+// scenario, reusing the sampled subgraph through the sample cache.
 
 #ifndef PREDICT_BSP_SCENARIO_H_
 #define PREDICT_BSP_SCENARIO_H_
@@ -32,7 +31,7 @@ namespace predict::bsp {
 /// One named cluster deployment the simulator can model.
 struct ClusterScenario {
   /// Registry key, e.g. "giraph-29". Purely descriptive: cache identity
-  /// comes from ScenarioKey(), never from the name.
+  /// comes from EngineOptionsKey(ToEngineOptions()), never from the name.
   std::string name;
   std::string description;
 
@@ -73,9 +72,6 @@ Result<ClusterScenario> FindScenario(const std::string& name);
 /// artifact caches keyed on this can never serve one scenario's profile
 /// to another.
 std::string EngineOptionsKey(const EngineOptions& options);
-
-/// EngineOptionsKey of the scenario's engine configuration.
-std::string ScenarioKey(const ClusterScenario& scenario);
 
 }  // namespace predict::bsp
 

@@ -1,5 +1,6 @@
 #include "common/failpoint.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -65,6 +66,14 @@ Status MakeInjected(std::string_view name, StatusCode code,
   return Status(code, std::move(message));
 }
 
+// Whole-string decimal parse: rejects signs, whitespace and values that
+// overflow 64 bits (strtoull would wrap "-1" to 2^64-1).
+bool ParseUint64(const std::string& text, uint64_t* value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
 Result<Policy> ParseSpec(const std::string& spec) {
   Policy policy;
   const std::vector<std::string> parts = SplitString(spec, ':');
@@ -78,15 +87,13 @@ Result<Policy> ParseSpec(const std::string& spec) {
       return Status::InvalidArgument(std::string(what) +
                                      " needs a count, e.g. '" + what + ":3'");
     }
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(parts[next].c_str(), &end, 10);
-    if (end == parts[next].c_str() || *end != '\0' || value == 0) {
+    uint64_t value = 0;
+    if (!ParseUint64(parts[next], &value) || value == 0) {
       return Status::InvalidArgument("bad count '" + parts[next] + "' in '" +
                                      spec + "'");
     }
     ++next;
-    return static_cast<uint64_t>(value);
+    return value;
   };
   if (mode == "off") {
     policy.mode = Mode::kOff;
@@ -106,8 +113,9 @@ Result<Policy> ParseSpec(const std::string& spec) {
     }
     char* end = nullptr;
     policy.p = std::strtod(parts[next].c_str(), &end);
-    if (end == parts[next].c_str() || *end != '\0' || policy.p < 0.0 ||
-        policy.p > 1.0) {
+    // Written so NaN, which fails every comparison, is rejected too.
+    if (end == parts[next].c_str() || *end != '\0' ||
+        !(policy.p >= 0.0 && policy.p <= 1.0)) {
       return Status::InvalidArgument("bad probability '" + parts[next] +
                                      "' in '" + spec + "' (want [0, 1])");
     }
@@ -121,10 +129,7 @@ Result<Policy> ParseSpec(const std::string& spec) {
   for (; next < parts.size(); ++next) {
     const std::string& option = parts[next];
     if (StartsWith(option, "seed=")) {
-      char* end = nullptr;
-      const std::string text = option.substr(5);
-      policy.seed = std::strtoull(text.c_str(), &end, 10);
-      if (end == text.c_str() || *end != '\0') {
+      if (!ParseUint64(option.substr(5), &policy.seed)) {
         return Status::InvalidArgument("bad seed in '" + spec + "'");
       }
     } else if (option == "code=io") {

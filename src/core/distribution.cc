@@ -9,13 +9,6 @@
 
 namespace predict {
 
-std::string BootstrapOptions::ConfigKey() const {
-  std::ostringstream key;
-  key << "boot=" << (enabled ? 1 : 0) << ";n=" << num_samples
-      << ";seed=" << seed;
-  return key.str();
-}
-
 double PredictionDistribution::QuantileSeconds(double q) const {
   if (samples.empty()) return point_seconds;
   q = std::clamp(q, 0.0, 1.0);

@@ -57,11 +57,6 @@ std::vector<RunProfile> HistoryStore::profiles() const {
   return profiles_;
 }
 
-std::vector<TrainingRow> HistoryStore::TrainingRowsFor(
-    const std::string& algorithm) const {
-  return TrainingRowsExcluding(algorithm, "");
-}
-
 std::vector<TrainingRow> HistoryStore::TrainingRowsExcluding(
     const std::string& algorithm, const std::string& exclude_dataset) const {
   std::vector<TrainingRow> rows;

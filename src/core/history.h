@@ -34,12 +34,9 @@ class HistoryStore {
   /// Records one run profile.
   void Add(RunProfile profile);
 
-  /// All rows for `algorithm` (any dataset), in insertion order.
-  std::vector<TrainingRow> TrainingRowsFor(const std::string& algorithm) const;
-
-  /// Profiles of `algorithm`, excluding dataset `exclude_dataset` (the
-  /// paper's evaluation trains on "all other datasets but the predicted
-  /// one").
+  /// Rows of `algorithm`, in insertion order, excluding dataset
+  /// `exclude_dataset` (the paper's evaluation trains on "all other
+  /// datasets but the predicted one"); "" excludes nothing.
   std::vector<TrainingRow> TrainingRowsExcluding(
       const std::string& algorithm, const std::string& exclude_dataset) const;
 

@@ -13,6 +13,11 @@ namespace predict::models {
 
 namespace {
 
+// Ellis' density thresholds: the densest history (unique worker
+// configurations) the mean and Ernest tiers still cover.
+constexpr int kMeanMaxConfigs = 2;
+constexpr int kErnestMaxConfigs = 5;
+
 std::vector<ScaleOutObservation> Observations(
     const std::vector<TrainingRow>& history_rows) {
   std::vector<ScaleOutObservation> points;
@@ -69,24 +74,6 @@ const char* ModelTierName(ModelTier tier) {
   return "unknown";
 }
 
-std::string ModelZooOptions::ConfigKey() const {
-  std::ostringstream key;
-  key << "zoo=" << (enable_zoo ? 1 : 0) << ";mean<=" << mean_max_configs
-      << ";ernest<=" << ernest_max_configs;
-  return key.str();
-}
-
-std::string ModelConfigKey(const CostModelOptions& cost_options,
-                           const ModelZooOptions& zoo_options) {
-  std::ostringstream key;
-  key << "fsel=" << (cost_options.use_feature_selection ? 1 : 0)
-      << ";maxf=" << cost_options.selection.max_features
-      << ";minimp=" << cost_options.selection.min_improvement
-      << ";ridge=" << cost_options.selection.ridge << ";"
-      << zoo_options.ConfigKey();
-  return key.str();
-}
-
 std::string ModelSelection::ToString() const {
   std::ostringstream out;
   out << "tier=" << ModelTierName(tier)
@@ -101,10 +88,10 @@ ModelTier TierForConfigs(int unique_configurations,
   if (!options.enable_zoo || unique_configurations <= 1) {
     return ModelTier::kPaper;
   }
-  if (unique_configurations <= options.mean_max_configs) {
+  if (unique_configurations <= kMeanMaxConfigs) {
     return ModelTier::kMean;
   }
-  if (unique_configurations <= options.ernest_max_configs) {
+  if (unique_configurations <= kErnestMaxConfigs) {
     return ModelTier::kErnest;
   }
   return ModelTier::kInterpolation;
@@ -136,16 +123,16 @@ Result<ModelZooFit> FitModelZoo(const std::vector<TrainingRow>& sample_rows,
   } else if (selection.tier == ModelTier::kMean) {
     reason << selection.unique_configurations
            << " unique worker configurations in history (<= "
-           << zoo_options.mean_max_configs << ") -> mean";
+           << kMeanMaxConfigs << ") -> mean";
   } else if (selection.tier == ModelTier::kErnest) {
     reason << selection.unique_configurations
            << " unique worker configurations in history (> "
-           << zoo_options.mean_max_configs << ", <= "
-           << zoo_options.ernest_max_configs << ") -> ernest";
+           << kMeanMaxConfigs << ", <= " << kErnestMaxConfigs
+           << ") -> ernest";
   } else {
     reason << selection.unique_configurations
            << " unique worker configurations in history (> "
-           << zoo_options.ernest_max_configs << ") -> interpolation";
+           << kErnestMaxConfigs << ") -> interpolation";
   }
   selection.reason = reason.str();
 

@@ -6,8 +6,8 @@
 //   unique worker configurations in history   selected tier
 //   ----------------------------------------  -------------------------
 //   <= 1 (incl. no history)                   paper (OLS over features)
-//   <= mean_max_configs   (default 2)         mean
-//   <= ernest_max_configs (default 5)         ernest
+//   <= 2                                      mean
+//   <= 5                                      ernest
 //   otherwise                                 interpolation
 //
 // The paper tier at <= 1 configuration keeps the default flows (no
@@ -29,24 +29,11 @@
 
 namespace predict::models {
 
-/// Zoo configuration. Defaults reproduce Ellis' density thresholds.
+/// Zoo configuration. The density thresholds are Ellis' and fixed.
 struct ModelZooOptions {
   /// Off = always select the paper model (ablation / strict-paper mode).
   bool enable_zoo = true;
-  /// Densest history (unique configurations) the mean tier still covers.
-  int mean_max_configs = 2;
-  /// Densest history the Ernest tier still covers.
-  int ernest_max_configs = 5;
-
-  /// Canonical key fragment for prediction caches; distinct options map
-  /// to distinct keys.
-  std::string ConfigKey() const;
 };
-
-/// Cache-key fragment covering everything that changes a fitted model:
-/// the paper cost-model options plus the zoo options.
-std::string ModelConfigKey(const CostModelOptions& cost_options,
-                           const ModelZooOptions& zoo_options);
 
 /// Why a fit ended up with the model it did.
 struct ModelSelection {

@@ -66,22 +66,13 @@ Result<PredictionReport> AssemblePredictionReport(
   // pre-zoo CostModel::PredictProfile path).
   const double scale_out =
       static_cast<double>(report.extrapolated_profile.num_workers);
-  if (model.runtime_model != nullptr) {
-    report.runtime_model_description = model.runtime_model->ToString();
-    report.per_iteration_seconds.clear();
-    report.per_iteration_seconds.reserve(
-        report.extrapolated_profile.iterations.size());
-    for (const IterationProfile& it : report.extrapolated_profile.iterations) {
-      report.per_iteration_seconds.push_back(
-          model.runtime_model->PredictIterationSeconds(it.critical_features,
-                                                       scale_out));
-    }
-  } else {
-    // Hand-built ModelArtifact without a zoo member: the cost model is
-    // the model.
-    report.runtime_model_description = report.cost_model.ToString();
-    report.per_iteration_seconds =
-        report.cost_model.PredictProfile(report.extrapolated_profile);
+  report.runtime_model_description = model.runtime_model->ToString();
+  report.per_iteration_seconds.reserve(
+      report.extrapolated_profile.iterations.size());
+  for (const IterationProfile& it : report.extrapolated_profile.iterations) {
+    report.per_iteration_seconds.push_back(
+        model.runtime_model->PredictIterationSeconds(it.critical_features,
+                                                     scale_out));
   }
   report.predicted_superstep_seconds = 0.0;
   for (const double s : report.per_iteration_seconds) {

@@ -93,13 +93,6 @@ struct ProfileArtifact {
   /// contract: it is the one host-dependent field, and a cached
   /// ProfileArtifact reports the wall time of the run that produced it.
   double sample_wall_seconds = 0.0;
-  /// Provenance: the canonical key (bsp::EngineOptionsKey) of the
-  /// engine configuration the profile was measured under. Profiles are
-  /// only comparable within one such configuration; consumers holding a
-  /// cached artifact can check which deployment produced it.
-  /// (PredictionService derives its cache key from the same
-  /// EngineOptionsKey before the artifact exists.)
-  std::string scenario_key;
   /// Relative slow-worker overhang of the deployment the profile was
   /// measured under: max worker speed factor over the mean, minus 1
   /// (0 = homogeneous cluster). Feeds the straggler term of the
@@ -120,9 +113,8 @@ struct ModelArtifact {
   /// The paper's cost model, always trained (reports expose its R^2 and
   /// selected features regardless of which zoo member predicts).
   CostModel model;
-  /// The selected zoo member; the predictor calls this one. Null only in
-  /// hand-built artifacts (legacy tests) — consumers fall back to
-  /// `model`.
+  /// The selected zoo member; the predictor calls this one. FitStage
+  /// always sets it.
   std::shared_ptr<const models::RuntimeModel> runtime_model;
   /// Why the selector picked `runtime_model`.
   models::ModelSelection selection;

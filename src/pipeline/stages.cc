@@ -179,7 +179,6 @@ Result<ProfileArtifact> ProfileStage::RunWithEngine(
         RunAlgorithmByName(algorithm, sample.sample.subgraph, run_options));
 
     ProfileArtifact artifact;
-    artifact.scenario_key = bsp::EngineOptionsKey(engine);
     // Straggler overhang of this deployment: how much slower the slowest
     // worker is than the average one. Workers beyond the factor vector
     // run at 1.0 (homogeneous).

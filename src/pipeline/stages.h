@@ -136,8 +136,7 @@ class ProfileStage {
   }
 
   /// Runs the sample under an explicit engine configuration (a cluster
-  /// scenario's ToEngineOptions); the artifact carries the matching
-  /// scenario_key.
+  /// scenario's ToEngineOptions).
   Result<ProfileArtifact> RunWithEngine(const std::string& algorithm,
                                         const std::string& dataset_name,
                                         const SampleArtifact& sample,

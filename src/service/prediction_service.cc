@@ -39,10 +39,6 @@ PredictionService::PredictionService(PredictionServiceOptions options)
       stages_(options_.predictor),
       history_free_stages_(WithoutHistory(options_.predictor)),
       default_engine_key_(bsp::EngineOptionsKey(options_.predictor.engine)),
-      model_config_key_(
-          models::ModelConfigKey(options_.predictor.cost_model,
-                                 options_.predictor.model_zoo) +
-          ";" + options_.predictor.bootstrap.ConfigKey()),
       pool_(ResolveThreads(options_.num_threads)) {}
 
 Result<PredictionService::SamplePtr> PredictionService::ComputeSampleArtifact(
@@ -177,8 +173,7 @@ Result<PredictionReport> PredictionService::Predict(
   // leaves the sample unchanged).
   const std::string profile_key =
       (*sample)->ContentKey() + "|" + request.algorithm + "|" +
-      request.dataset + "|" + transform.ConfigKey() + "|" + engine_key + "|" +
-      model_config_key_;
+      request.dataset + "|" + transform.ConfigKey() + "|" + engine_key;
   DegradationInfo degradation;
   bool profile_reused = false;
   Result<ProfilePtr> profile = profile_cache_.GetOrCompute(

@@ -187,6 +187,14 @@ TEST_F(FailPointTest, BadSpecsAreRejected) {
   EXPECT_TRUE(fail::Configure("x", "bogus").IsInvalidArgument());
   EXPECT_TRUE(fail::Configure("x", "times:0").IsInvalidArgument());
   EXPECT_TRUE(fail::Configure("x", "prob:1.5").IsInvalidArgument());
+  // NaN fails both range comparisons; negative counts and seeds must not
+  // wrap to 2^64-1.
+  EXPECT_TRUE(fail::Configure("x", "prob:nan").IsInvalidArgument());
+  EXPECT_TRUE(fail::Configure("x", "times:-1").IsInvalidArgument());
+  EXPECT_TRUE(fail::Configure("x", "every:-1").IsInvalidArgument());
+  EXPECT_TRUE(fail::Configure("x", "prob:0.5:seed=-1").IsInvalidArgument());
+  EXPECT_TRUE(
+      fail::Configure("x", "times:18446744073709551616").IsInvalidArgument());
   EXPECT_TRUE(fail::Configure("x", "once:wat=1").IsInvalidArgument());
   EXPECT_TRUE(fail::Configure("", "once").IsInvalidArgument());
   EXPECT_TRUE(fail::ConfigureFromString("justaname").IsInvalidArgument());

@@ -447,9 +447,9 @@ TEST(HistoryTest, TrainingRowsFilterByAlgorithm) {
   HistoryStore store;
   store.Add(MakeProfile("pagerank", "lj", 3, 1.0));
   store.Add(MakeProfile("semiclustering", "lj", 2, 2.0));
-  EXPECT_EQ(store.TrainingRowsFor("pagerank").size(), 3u);
-  EXPECT_EQ(store.TrainingRowsFor("semiclustering").size(), 2u);
-  EXPECT_EQ(store.TrainingRowsFor("unknown").size(), 0u);
+  EXPECT_EQ(store.TrainingRowsExcluding("pagerank", "").size(), 3u);
+  EXPECT_EQ(store.TrainingRowsExcluding("semiclustering", "").size(), 2u);
+  EXPECT_EQ(store.TrainingRowsExcluding("unknown", "").size(), 0u);
 }
 
 TEST(HistoryTest, ExcludesNamedDataset) {
@@ -472,7 +472,7 @@ TEST(HistoryTest, CsvRoundTrip) {
   auto loaded = HistoryStore::LoadFromFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), 2u);
-  const auto rows = loaded->TrainingRowsFor("pagerank");
+  const auto rows = loaded->TrainingRowsExcluding("pagerank", "");
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_DOUBLE_EQ(rows[1].runtime_seconds, 3.0);
   EXPECT_DOUBLE_EQ(rows[1].features[static_cast<int>(Feature::kRemMsg)], 200.0);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "algorithms/connected_components.h"
@@ -295,8 +296,8 @@ TEST(DeterminismTest, SuperstepPathsBitIdentical) {
 // produce bit-identical RESULTS: the representation changes decode cost
 // and simulated memory accounting (a compressed graph genuinely occupies
 // fewer simulated bytes — that is the point), never ranks, iteration
-// count, or message traffic. The Run* wrappers set
-// EngineOptions::compressed_graph from the graph they pass the engine.
+// count, or message traffic. The engine reads the representation from
+// the graph itself, so the same EngineOptions serve both.
 TEST(DeterminismTest, CompressedGraphRunsBitIdenticalToPlain) {
   const Graph compressed = Graph::WithCompressedEdges(GoldenPrGraph());
   auto plain_run =
@@ -320,6 +321,32 @@ TEST(DeterminismTest, CompressedGraphRunsBitIdenticalToPlain) {
     }
     // The representation shrinks simulated memory, never grows it.
     EXPECT_LT(run->stats.peak_memory_bytes, plain_run->stats.peak_memory_bytes);
+  }
+
+  // Engine::Run called directly with default EngineOptions, no wrapper.
+  const AlgorithmConfig config =
+      ResolveConfig(PageRankSpec(), {{"tau", 1e-6}}).MoveValue();
+  const auto direct = [&](const Graph& graph) {
+    PageRankProgram program(config);
+    Engine<PageRankValue, double> engine(EngineOptions{});
+    auto stats = engine.Run(graph, &program);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    std::vector<double> ranks;
+    for (const PageRankValue& v : engine.vertex_values()) {
+      ranks.push_back(v.rank);
+    }
+    return std::make_pair(std::move(ranks),
+                          stats.ok() ? stats.MoveValue() : RunStats{});
+  };
+  const auto [plain_ranks, plain_stats] = direct(GoldenPrGraph());
+  const auto [ranks, stats] = direct(compressed);
+  EXPECT_EQ(ranks, plain_ranks);
+  ASSERT_EQ(stats.num_supersteps(), plain_stats.num_supersteps());
+  ASSERT_GT(stats.num_supersteps(), 0);
+  for (int s = 0; s < stats.num_supersteps(); ++s) {
+    EXPECT_EQ(stats.supersteps[s].Totals().total_messages(),
+              plain_stats.supersteps[s].Totals().total_messages())
+        << "superstep " << s;
   }
 }
 
@@ -368,27 +395,6 @@ TEST(DeterminismTest, DeliveryOrderIsSenderWorkerThenSendOrder) {
     ASSERT_TRUE(engine.Run(g, &program).ok()) << "threads=" << threads;
     EXPECT_EQ(engine.vertex_values()[0], expected) << "threads=" << threads;
   }
-}
-
-// A mismatched compressed_graph flag must fail loudly, not silently
-// mis-simulate: the strict check is what keeps profile caches honest
-// when direct Engine users pass their own options.
-TEST(DeterminismTest, EngineRejectsCompressedFlagMismatch) {
-  GraphBuilder b(4);
-  b.AddEdge(0, 1);
-  const Graph plain = b.Build().MoveValue();
-  Graph compressed = Graph::WithCompressedEdges(plain);
-  HashChainProgram program;
-
-  EngineOptions options;
-  options.num_workers = 2;
-  options.compressed_graph = true;  // but the graph is plain
-  Engine<int64_t, int64_t> engine(options);
-  EXPECT_TRUE(engine.Run(plain, &program).status().IsInvalidArgument());
-
-  options.compressed_graph = false;  // but the graph is compressed
-  Engine<int64_t, int64_t> engine2(options);
-  EXPECT_TRUE(engine2.Run(compressed, &program).status().IsInvalidArgument());
 }
 
 }  // namespace

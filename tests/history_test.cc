@@ -59,7 +59,8 @@ TEST(HistoryPersistenceTest, NumWorkersRoundTrips) {
   EXPECT_EQ(profiles[1].num_workers, 29u);
 
   // The worker count must reach the model zoo via TrainingRow::scale_out.
-  const std::vector<TrainingRow> rows = loaded->TrainingRowsFor("pagerank");
+  const std::vector<TrainingRow> rows =
+      loaded->TrainingRowsExcluding("pagerank", "");
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_DOUBLE_EQ(rows[0].scale_out, 8.0);
   EXPECT_DOUBLE_EQ(rows[4].scale_out, 29.0);
@@ -95,7 +96,8 @@ TEST(HistoryPersistenceTest, LegacyFileWithoutWorkersColumnLoads) {
   ASSERT_EQ(loaded->size(), 1u);
   EXPECT_EQ(loaded->profiles()[0].num_workers, 0u);
 
-  const std::vector<TrainingRow> rows = loaded->TrainingRowsFor("pagerank");
+  const std::vector<TrainingRow> rows =
+      loaded->TrainingRowsExcluding("pagerank", "");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_DOUBLE_EQ(rows[0].scale_out, 0.0);
   EXPECT_DOUBLE_EQ(rows[1].runtime_seconds, 1.0);
@@ -127,7 +129,7 @@ TEST(HistoryPersistenceTest, MalformedRowsAreQuarantinedNotFatal) {
   auto loaded = HistoryStore::LoadFromFile(path, &note);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->size(), 1u);  // the intact profile survived
-  EXPECT_EQ(loaded->TrainingRowsFor("pagerank").size(), 2u);
+  EXPECT_EQ(loaded->TrainingRowsExcluding("pagerank", "").size(), 2u);
   EXPECT_NE(note.find("quarantined 2 malformed history rows"),
             std::string::npos)
       << note;
@@ -210,14 +212,15 @@ TEST(HistoryConcurrencyTest, AddRacesTrainingRowReaders) {
   size_t max_rows = 0;
   bool sizes_consistent = true;
   while (!done.load()) {
-    const std::vector<TrainingRow> rows = store.TrainingRowsFor("pagerank");
+    const std::vector<TrainingRow> rows =
+        store.TrainingRowsExcluding("pagerank", "");
     if (rows.size() % kIterations != 0) sizes_consistent = false;
     if (rows.size() > max_rows) max_rows = rows.size();
   }
   writer.join();
 
   EXPECT_TRUE(sizes_consistent);
-  EXPECT_EQ(store.TrainingRowsFor("pagerank").size(),
+  EXPECT_EQ(store.TrainingRowsExcluding("pagerank", "").size(),
             static_cast<size_t>(kProfiles * kIterations));
   EXPECT_EQ(store.size(), static_cast<size_t>(kProfiles));
 }

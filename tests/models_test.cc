@@ -6,7 +6,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -303,32 +302,6 @@ TEST(ModelSelectorTest, DegenerateScaleOutFitFallsBackToPaper) {
   EXPECT_EQ(fit->selection.tier, models::ModelTier::kPaper);
   EXPECT_NE(fit->selection.reason.find("fallback"), std::string::npos)
       << fit->selection.reason;
-}
-
-TEST(ModelSelectorTest, ConfigKeysDistinguishOptions) {
-  std::set<std::string> keys;
-  models::ModelZooOptions zoo;
-  keys.insert(zoo.ConfigKey());
-  zoo.enable_zoo = false;
-  keys.insert(zoo.ConfigKey());
-  zoo.enable_zoo = true;
-  zoo.ernest_max_configs = 9;
-  keys.insert(zoo.ConfigKey());
-  EXPECT_EQ(keys.size(), 3u);
-
-  CostModelOptions cost;
-  const std::string base = models::ModelConfigKey(cost, zoo);
-  cost.use_feature_selection = !cost.use_feature_selection;
-  EXPECT_NE(models::ModelConfigKey(cost, zoo), base);
-
-  std::set<std::string> boot_keys;
-  BootstrapOptions boot;
-  boot_keys.insert(boot.ConfigKey());
-  boot.num_samples += 1;
-  boot_keys.insert(boot.ConfigKey());
-  boot.seed += 1;
-  boot_keys.insert(boot.ConfigKey());
-  EXPECT_EQ(boot_keys.size(), 3u);
 }
 
 // ----------------------------------------------------------- distribution

@@ -28,7 +28,6 @@ using bsp::BuiltinScenarios;
 using bsp::ClusterScenario;
 using bsp::EngineOptionsKey;
 using bsp::FindScenario;
-using bsp::ScenarioKey;
 
 const Graph& WhatIfGraph() {
   static const Graph g = MakeDataset("wiki", 0.08).MoveValue();
@@ -81,33 +80,36 @@ TEST(ScenarioTest, Giraph29MatchesPaperClusterOptions) {
 }
 
 TEST(ScenarioTest, EngineKeysAreCanonicalAndDistinct) {
+  const auto key = [](const ClusterScenario& s) {
+    return EngineOptionsKey(s.ToEngineOptions());
+  };
   std::set<std::string> keys;
   for (const ClusterScenario& scenario : BuiltinScenarios()) {
-    EXPECT_TRUE(keys.insert(ScenarioKey(scenario)).second)
+    EXPECT_TRUE(keys.insert(key(scenario)).second)
         << scenario.name << " collides with another scenario";
     // The key is a pure function of the configuration.
-    EXPECT_EQ(ScenarioKey(scenario), ScenarioKey(scenario));
+    EXPECT_EQ(key(scenario), key(scenario));
   }
   // Every simulation-relevant knob must move the key.
   const ClusterScenario base = FindScenario("giraph-29").MoveValue();
   ClusterScenario changed = base;
   changed.num_workers += 1;
-  EXPECT_NE(ScenarioKey(changed), ScenarioKey(base));
+  EXPECT_NE(key(changed), key(base));
   changed = base;
   changed.partition = bsp::PartitionStrategy::kContiguousRange;
-  EXPECT_NE(ScenarioKey(changed), ScenarioKey(base));
+  EXPECT_NE(key(changed), key(base));
   changed = base;
   changed.cost_profile.barrier_seconds *= 2;
-  EXPECT_NE(ScenarioKey(changed), ScenarioKey(base));
+  EXPECT_NE(key(changed), key(base));
   changed = base;
   changed.cost_profile.worker_speed_factors = {1.0, 2.0};
-  EXPECT_NE(ScenarioKey(changed), ScenarioKey(base));
+  EXPECT_NE(key(changed), key(base));
 }
 
 TEST(ScenarioTest, ExecutionModeKnobsMoveTheEngineKey) {
-  // superstep path, dense threshold and edge representation never change
-  // simulated output, but they change what executed — profiles must not
-  // wrong-hit across them (the SamplerOptionsKey discipline).
+  // superstep path and dense threshold never change simulated output,
+  // but they change what executed — profiles must not wrong-hit across
+  // them (the SamplerOptionsKey discipline).
   const bsp::EngineOptions base = PaperClusterOptions();
   bsp::EngineOptions changed = base;
   changed.superstep_path = bsp::SuperstepPath::kSparse;
@@ -116,9 +118,6 @@ TEST(ScenarioTest, ExecutionModeKnobsMoveTheEngineKey) {
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
   changed = base;
   changed.dense_path_threshold = 0.31;
-  EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
-  changed = base;
-  changed.compressed_graph = true;
   EXPECT_NE(EngineOptionsKey(changed), EngineOptionsKey(base));
 }
 
@@ -180,12 +179,10 @@ TEST(ScenarioTest, ProfileArtifactsRecordTheirDeployment) {
       ten.ToEngineOptions(0));
   ASSERT_TRUE(default_profile.ok());
   ASSERT_TRUE(scenario_profile.ok());
-  // Each artifact carries the canonical key of the deployment that
-  // measured it — the same identity the service caches under.
-  EXPECT_EQ(default_profile->scenario_key,
-            EngineOptionsKey(PaperClusterOptions()));
-  EXPECT_EQ(scenario_profile->scenario_key, ScenarioKey(ten));
-  EXPECT_NE(default_profile->scenario_key, scenario_profile->scenario_key);
+  // Each profile was measured on the deployment it was run under.
+  EXPECT_EQ(default_profile->sample_profile.num_workers,
+            PaperClusterOptions().num_workers);
+  EXPECT_EQ(scenario_profile->sample_profile.num_workers, ten.num_workers);
 }
 
 // ------------------------------------------------ Predictor what-if API

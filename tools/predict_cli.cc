@@ -1,40 +1,38 @@
 // predict_cli — command-line driver for the PREDIcT library.
 //
 //   predict_cli datasets
-//   predict_cli describe  (--dataset NAME | --graph FILE) [--scale S]
-//                         [--threads T]
-//   predict_cli sample    (--dataset NAME | --graph FILE) [--ratio R]
-//                         [--method BRJ|RJ|MHRW|FF] [--seed N] [--threads T]
-//   predict_cli run       --algorithm A (--dataset NAME | --graph FILE)
-//                         [--config k=v]... [--workers N]
-//   predict_cli predict   --algorithm A (--dataset NAME | --graph FILE)
-//                         [--ratio R] [--config k=v]... [--workers N]
-//                         [--history FILE] [--save-history FILE]
-//                         [--verify]
+//   predict_cli describe  INPUT [--threads T]
+//   predict_cli sample    INPUT SAMPLER [--threads T]
+//   predict_cli run       --algorithm A INPUT [--config k=v]... ENGINE
+//   predict_cli predict   --algorithm A INPUT SAMPLER [--config k=v]...
+//                         ENGINE ROBUSTNESS [--history FILE]
+//                         [--save-history FILE] [--verify]
 //   predict_cli batch     --algorithms A,B,... --datasets N1,N2,...
-//                         [--ratio R] [--method BRJ|RJ|MHRW|FF] [--seed N]
-//                         [--scale S] [--workers N] [--threads T]
-//                         [--history FILE]
-//   predict_cli mutate    (--dataset NAME | --graph FILE) --out FILE
-//                         [--churn FRACTION] [--seed N]
+//                         [--scale S] SAMPLER ENGINE ROBUSTNESS
+//                         [--threads T] [--history FILE] [--fail-fast]
+//   predict_cli mutate    INPUT --out FILE [--churn FRACTION] [--seed N]
 //   predict_cli scenarios
-//   predict_cli whatif    --algorithm A (--dataset NAME | --graph FILE)
+//   predict_cli whatif    --algorithm A INPUT SAMPLER [--config k=v]...
 //                         [--scenarios S1,S2,... | all] [--sla SECONDS]
-//                         [--confidence C] [--ratio R] [--config k=v]...
-//                         [--threads T]
+//                         [--confidence C] [--threads T]
 //   predict_cli history   --file FILE [--algorithm A] [--list] [--export FILE2]
 //   predict_cli bound     --epsilon E [--damping D]
 //
-// Engine flags (run/predict/batch): [--scenario NAME] [--workers N]
-// [--partition hash|range|edge] [--path adaptive|sparse|dense]
-// [--dense-threshold X] — --scenario picks a registry deployment, the
-// others override it.
+// Flag groups:
+//   INPUT       (--dataset NAME | --graph FILE) [--scale S]
+//   SAMPLER     [--ratio R] [--method BRJ|RJ|MHRW|FF] [--seed N]
+//               [--segment-steps N]
+//   ENGINE      [--scenario NAME] [--workers N] [--partition hash|range|edge]
+//               [--path adaptive|sparse|dense] [--dense-threshold X] —
+//               --scenario picks a registry deployment, the others
+//               override it
+//   ROBUSTNESS  [--failpoints name=spec;...] [--retries N] [--deadline S]
+//               [--degraded]; batch's [--fail-fast] stops at the first
+//               failed cell instead of answering them all
 //
-// Robustness flags (predict/batch): [--failpoints name=spec;...]
-// [--retries N] [--deadline S] [--degraded]; batch adds [--fail-fast]
-// (stop at the first failed cell instead of answering them all).
-//
-// Graph files: edge-list text ("src dst [weight]") or PRDG binary.
+// A flag the command does not read exits 2 naming the flag (see
+// Commands()). Graph files: edge-list text ("src dst [weight]") or PRDG
+// binary.
 
 #include <algorithm>
 #include <cerrno>
@@ -42,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
@@ -319,7 +318,7 @@ Result<bsp::EngineOptions> EngineFromFlags(const Flags& flags) {
 
 // --------------------------------------------------------------- commands
 
-int CmdDatasets() {
+int CmdDatasets(const Flags&) {
   const auto print_group = [](const std::vector<DatasetInfo>& group) {
     for (const DatasetInfo& info : group) {
       std::printf("%-8s %-10u %-12llu %-11s %s\n", info.name.c_str(),
@@ -768,7 +767,7 @@ int CmdBound(const Flags& flags) {
 
 // ------------------------------------------------------- cluster what-if
 
-int CmdScenarios() {
+int CmdScenarios(const Flags&) {
   std::printf("%-18s %8s %6s %10s %-10s %s\n", "name", "workers", "steps",
               "memory", "partition", "description");
   for (const bsp::ClusterScenario& s : bsp::BuiltinScenarios()) {
@@ -996,33 +995,91 @@ int Usage() {
       "usage: predict_cli <command> [flags]\n"
       "commands:\n"
       "  datasets   list built-in datasets\n"
-      "  describe   (--dataset N | --graph F) [--scale S]\n"
-      "  sample     (--dataset N | --graph F) [--ratio R] [--method BRJ|RJ|MHRW|FF]\n"
-      "  run        --algorithm A (--dataset N | --graph F) [--config k=v]...\n"
-      "  predict    --algorithm A (--dataset N | --graph F) [--ratio R]\n"
-      "             [--config k=v]... [--history F] [--verify] [--save-history F]\n"
-      "  batch      --algorithms A,B,... --datasets N1,N2,... [--ratio R]\n"
-      "             [--threads T] [--workers N] [--scale S] [--history F]\n"
+      "  describe   INPUT [--threads T]\n"
+      "  sample     INPUT SAMPLER [--threads T]\n"
+      "  run        --algorithm A INPUT [--config k=v]... ENGINE\n"
+      "  predict    --algorithm A INPUT SAMPLER [--config k=v]... ENGINE\n"
+      "             ROBUSTNESS [--history F] [--verify] [--save-history F]\n"
+      "  batch      --algorithms A,B,... --datasets N1,N2,... [--scale S]\n"
+      "             SAMPLER ENGINE ROBUSTNESS [--threads T] [--history F]\n"
       "             [--fail-fast]\n"
-      "  mutate     (--dataset N | --graph F) --out FILE [--churn FRACTION]\n"
-      "             [--seed N]   apply seeded edge churn, write PRDG binary\n"
-      "robustness flags (predict/batch): [--failpoints name=spec;...]\n"
-      "             [--retries N] [--deadline S] [--degraded]\n"
+      "  mutate     INPUT --out FILE [--churn FRACTION] [--seed N]\n"
+      "             apply seeded edge churn, write PRDG binary\n"
       "  scenarios  list built-in cluster scenarios\n"
-      "  whatif     --algorithm A (--dataset N | --graph F)\n"
+      "  whatif     --algorithm A INPUT SAMPLER [--config k=v]...\n"
       "             [--scenarios S1,S2,...|all] [--sla SECONDS]\n"
-      "             [--confidence C] [--ratio R]\n"
+      "             [--confidence C] [--threads T]\n"
       "  history    --file F [--algorithm A] [--list] [--export F2]\n"
       "  bound      --epsilon E [--damping D]\n"
-      "engine flags (run/predict/batch): [--scenario NAME] [--workers N]\n"
+      "flag groups:\n"
+      "  INPUT      (--dataset N | --graph F) [--scale S]\n"
+      "  SAMPLER    [--ratio R] [--method BRJ|RJ|MHRW|FF] [--seed N]\n"
+      "             [--segment-steps N]\n"
+      "  ENGINE     [--scenario NAME] [--workers N]\n"
       "             [--partition hash|range|edge] [--path adaptive|sparse|dense]\n"
       "             [--dense-threshold X]\n"
+      "  ROBUSTNESS [--failpoints name=spec;...] [--retries N] [--deadline S]\n"
+      "             [--degraded]\n"
+      "any other flag exits 2\n"
       "algorithms:");
   for (const auto& name : RegisteredAlgorithmNames()) {
     std::fprintf(stderr, " %s", name.c_str());
   }
   std::fprintf(stderr, "\n");
   return 2;
+}
+
+// ------------------------------------------------------------ dispatch
+
+using FlagNames = std::vector<std::string>;
+
+// Flag groups read by the shared helpers above.
+const FlagNames kInputFlags = {"dataset", "graph", "scale"};
+const FlagNames kSamplerFlags = {"method", "ratio", "seed", "segment-steps"};
+const FlagNames kEngineFlags = {"scenario", "workers", "partition", "path",
+                                "dense-threshold"};
+const FlagNames kRobustnessFlags = {"failpoints", "retries", "deadline",
+                                    "degraded"};
+
+FlagNames Concat(std::initializer_list<FlagNames> groups) {
+  FlagNames all;
+  for (const FlagNames& group : groups) {
+    all.insert(all.end(), group.begin(), group.end());
+  }
+  return all;
+}
+
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  /// Every flag the command reads; any other flag is an error.
+  FlagNames flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"datasets", CmdDatasets, {}},
+      {"describe", CmdDescribe, Concat({kInputFlags, {"threads"}})},
+      {"sample", CmdSample, Concat({kInputFlags, kSamplerFlags, {"threads"}})},
+      {"run", CmdRun,
+       Concat({kInputFlags, kEngineFlags, {"algorithm", "config"}})},
+      {"predict", CmdPredict,
+       Concat({kInputFlags, kSamplerFlags, kEngineFlags, kRobustnessFlags,
+               {"algorithm", "config", "history", "save-history", "verify"}})},
+      {"batch", CmdBatch,
+       Concat({kSamplerFlags, kEngineFlags, kRobustnessFlags,
+               {"algorithms", "datasets", "scale", "threads", "history",
+                "fail-fast"}})},
+      {"mutate", CmdMutate, Concat({kInputFlags, {"out", "churn", "seed"}})},
+      {"scenarios", CmdScenarios, {}},
+      {"whatif", CmdWhatIf,
+       Concat({kInputFlags, kSamplerFlags,
+               {"algorithm", "config", "scenarios", "sla", "confidence",
+                "threads"}})},
+      {"history", CmdHistory, {"file", "algorithm", "list", "export"}},
+      {"bound", CmdBound, {"epsilon", "damping"}},
+  };
+  return commands;
 }
 
 }  // namespace
@@ -1035,16 +1092,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", flags.error.c_str());
     return 2;
   }
-  if (command == "datasets") return CmdDatasets();
-  if (command == "describe") return CmdDescribe(flags);
-  if (command == "sample") return CmdSample(flags);
-  if (command == "run") return CmdRun(flags);
-  if (command == "predict") return CmdPredict(flags);
-  if (command == "batch") return CmdBatch(flags);
-  if (command == "mutate") return CmdMutate(flags);
-  if (command == "scenarios") return CmdScenarios();
-  if (command == "whatif") return CmdWhatIf(flags);
-  if (command == "history") return CmdHistory(flags);
-  if (command == "bound") return CmdBound(flags);
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    std::vector<std::string> given;
+    for (const auto& entry : flags.values) given.push_back(entry.first);
+    if (!flags.config_pairs.empty()) given.push_back("config");
+    for (const std::string& name : given) {
+      if (std::find(c.flags.begin(), c.flags.end(), name) == c.flags.end()) {
+        std::fprintf(stderr, "%s: unknown flag --%s\n", c.name, name.c_str());
+        return 2;
+      }
+    }
+    return c.run(flags);
+  }
   return Usage();
 }
