@@ -12,10 +12,14 @@
 
 #include "algorithms/connected_components.h"
 #include "algorithms/pagerank.h"
+#include "algorithms/semiclustering.h"
 #include "bsp/partition.h"
+#include "bsp/scenario.h"
 #include "common/rng.h"
 #include "core/cost_model.h"
 #include "core/regression.h"
+#include "core/transform.h"
+#include "datasets/datasets.h"
 #include "graph/delta.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
@@ -367,6 +371,36 @@ void BM_DeltaCompaction(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaCompaction)->Arg(1)->Arg(10)->Arg(25)
     ->Unit(benchmark::kMillisecond);
+
+// The sample run of a cold SemiClustering predict, the slowest profile
+// run of a cold prediction: the 10% BRJ sample (default seed) of the
+// full-scale wiki stand-in, on giraph-29 simulated inline, with the
+// sample config the default transform derives.
+void BM_SemiClusteringSampleRun(benchmark::State& state) {
+  static const Graph sample = [] {
+    SamplerOptions options;
+    options.kind = SamplerKind::kBiasedRandomJump;
+    options.sampling_ratio = 0.1;
+    return SampleGraph(MakeDataset("wiki").MoveValue(), options)
+        .MoveValue()
+        .subgraph;
+  }();
+  const AlgorithmSpec& spec = SemiClusteringSpec();
+  const AlgorithmConfig config =
+      TransformConfigForSample(spec, ResolveConfig(spec, {}).MoveValue(), 0.1)
+          .MoveValue();
+  const bsp::EngineOptions engine =
+      bsp::FindScenario("giraph-29").MoveValue().ToEngineOptions(0);
+  for (auto _ : state) {
+    auto run = RunSemiClustering(sample, config, engine);
+    if (!run.ok()) {
+      state.SkipWithError("semiclustering run failed");
+      return;
+    }
+    benchmark::DoNotOptimize(run->stats.total_seconds);
+  }
+}
+BENCHMARK(BM_SemiClusteringSampleRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -1,66 +1,174 @@
 #include "algorithms/semiclustering.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <utility>
 
+#include "common/strings.h"
 #include "graph/transforms.h"
 
 namespace predict {
 
 namespace {
 
-// Deterministic candidate ordering: score descending, then member list
-// lexicographic (clusters are value types; no pointer identity involved).
-struct ClusterOrder {
-  double boundary_factor;
-  bool operator()(const SemiCluster& a, const SemiCluster& b) const {
-    const double sa = a.Score(boundary_factor);
-    const double sb = b.Score(boundary_factor);
-    if (sa != sb) return sa > sb;
-    return a.members < b.members;
-  }
-};
+using Context = bsp::VertexContext<SemiClusterValue, SemiClusterMessage>;
 
-// Sorted snapshot of a vertex's incident edges, built once per Compute
-// call so that extending a cluster costs O(v_max * log deg) instead of
-// O(deg) per candidate (hubs receive thousands of candidates).
+// S_c for a cluster of `size` members with weights (I_c, B_c).
+double ClusterScore(double internal_weight, double boundary_weight,
+                    size_t size, double boundary_factor) {
+  const double vc = static_cast<double>(size);
+  const double denom = std::max(1.0, vc * (vc - 1.0) / 2.0);
+  return (internal_weight - boundary_factor * boundary_weight) / denom;
+}
+
+// This vertex's incident edges, read in place from its CSR row.
+// RunSemiClustering runs on ToUndirected output, whose rows are sorted
+// and duplicate-free, so a member has at most one edge and a binary
+// search finds it.
 class IncidentEdges {
  public:
-  explicit IncidentEdges(
-      const bsp::VertexContext<SemiClusterValue, SemiClusterMessage>& ctx) {
-    const auto neighbors = ctx.out_neighbors();
-    const bool weighted = ctx.graph_is_weighted();
-    const auto weights =
-        weighted ? ctx.out_weights() : std::span<const float>{};
-    adjacency_.reserve(neighbors.size());
-    for (size_t i = 0; i < neighbors.size(); ++i) {
-      const float w = weighted ? weights[i] : 1.0f;
-      adjacency_.emplace_back(neighbors[i], w);
-      total_weight_ += w;
+  explicit IncidentEdges(const Context& ctx)
+      : neighbors_(ctx.out_neighbors()),
+        weights_(ctx.graph_is_weighted() ? ctx.out_weights()
+                                         : std::span<const float>{}) {
+    assert(std::adjacent_find(neighbors_.begin(), neighbors_.end(),
+                              std::greater_equal<>()) == neighbors_.end());
+    if (weights_.empty()) {
+      total_weight_ = static_cast<double>(neighbors_.size());
+    } else {
+      for (const float w : weights_) total_weight_ += w;
     }
-    std::sort(adjacency_.begin(), adjacency_.end());
   }
 
-  double total_weight() const { return total_weight_; }
+  // (I_c, B_c) of `cluster` extended by this vertex: edges from this
+  // vertex to members become internal; members' boundary edges towards
+  // this vertex stop being boundary; this vertex's other incident edges
+  // become new boundary edges.
+  std::pair<double, double> ExtendedWeights(const SemiCluster& cluster) const {
+    const double to_members = WeightTo(cluster.members);
+    return {cluster.internal_weight + to_members,
+            cluster.boundary_weight +
+                ((total_weight_ - to_members) - to_members)};
+  }
 
-  // Total edge weight from this vertex to `members`.
+ private:
+  // Total edge weight from this vertex to `members` (sorted ascending).
   double WeightTo(const std::vector<VertexId>& members) const {
     double sum = 0.0;
+    auto it = neighbors_.begin();
     for (const VertexId m : members) {
-      auto it = std::lower_bound(
-          adjacency_.begin(), adjacency_.end(), m,
-          [](const auto& entry, VertexId v) { return entry.first < v; });
-      while (it != adjacency_.end() && it->first == m) {
-        sum += it->second;
-        ++it;
+      it = std::lower_bound(it, neighbors_.end(), m);
+      if (it == neighbors_.end()) break;
+      if (*it == m) {
+        sum += weights_.empty() ? 1.0 : weights_[it - neighbors_.begin()];
       }
     }
     return sum;
   }
 
- private:
-  std::vector<std::pair<VertexId, float>> adjacency_;
+  std::span<const VertexId> neighbors_;
+  std::span<const float> weights_;  // empty: every edge weighs 1
   double total_weight_ = 0.0;
 };
+
+// A cluster this vertex could forward or keep, scored but not built: a
+// received cluster as it came, or its extension by this vertex (the
+// source's members with `self` inserted at `self_pos`).
+struct Candidate {
+  double score;
+  const SemiCluster* source;
+  uint32_t self_pos;  // lower_bound of self in source->members
+  bool extended;
+
+  size_t size() const { return source->members.size() + extended; }
+  VertexId member(size_t i, VertexId self) const {
+    if (!extended || i < self_pos) return source->members[i];
+    return i == self_pos ? self : source->members[i - 1];
+  }
+};
+
+// Lexicographic comparison of two candidates' member lists: <0, 0, >0.
+int CompareMembers(const Candidate& a, const Candidate& b, VertexId self) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const VertexId x = a.member(i, self);
+    const VertexId y = b.member(i, self);
+    if (x != y) return x < y ? -1 : 1;
+  }
+  return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
+}
+
+// Candidate order: score descending, then member list ascending.
+struct CandidateOrder {
+  VertexId self;
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    if (a.score != b.score) return a.score > b.score;
+    return CompareMembers(a, b, self) < 0;
+  }
+};
+
+// Candidates in CandidateOrder, sorted on demand: At(i) partial-sorts
+// just far enough to place position i, at least doubling the sorted
+// prefix, so a walk that stops after m positions costs O(n log m).
+// Positions below the sorted prefix never move again.
+class LazySorted {
+ public:
+  LazySorted(std::vector<Candidate>& entries, CandidateOrder order)
+      : entries_(entries), order_(order) {}
+
+  const Candidate* At(size_t i) {
+    if (i >= entries_.size()) return nullptr;
+    if (i >= sorted_) {
+      const size_t end =
+          std::min(entries_.size(), std::max(i + 1, 2 * sorted_));
+      std::partial_sort(entries_.begin() + sorted_, entries_.begin() + end,
+                        entries_.end(), order_);
+      sorted_ = end;
+    }
+    return &entries_[i];
+  }
+
+  // Whether any entry sorts strictly between a and b, which are not
+  // entries and a precedes b: the first entry after a decides.
+  bool AnyBetween(const Candidate& a, const Candidate& b) {
+    size_t i = std::upper_bound(entries_.begin(), entries_.begin() + sorted_,
+                                a, order_) -
+               entries_.begin();
+    while (i < entries_.size() && !order_(a, *At(i))) ++i;
+    const Candidate* after_a = At(i);
+    return after_a != nullptr && order_(*after_a, b);
+  }
+
+ private:
+  std::vector<Candidate>& entries_;
+  CandidateOrder order_;
+  size_t sorted_ = 0;
+};
+
+// Selection buffers, one set per engine thread, reused across Compute
+// calls so that a warm thread selects without allocating. A thread keeps
+// the capacity of the most candidates one vertex has had (24 bytes each).
+struct Scratch {
+  std::vector<Candidate> with_self;
+  std::vector<Candidate> without_self;
+  std::vector<Candidate> previous;  // this vertex's own clusters
+  std::vector<const Candidate*> forward;
+  std::vector<const Candidate*> keep;
+};
+
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  scratch.with_self.clear();
+  scratch.without_self.clear();
+  scratch.previous.clear();
+  scratch.forward.clear();
+  scratch.keep.clear();
+  return scratch;
+}
 
 }  // namespace
 
@@ -69,9 +177,8 @@ bool SemiCluster::ContainsVertex(VertexId v) const {
 }
 
 double SemiCluster::Score(double boundary_factor) const {
-  const double vc = static_cast<double>(members.size());
-  const double denom = std::max(1.0, vc * (vc - 1.0) / 2.0);
-  return (internal_weight - boundary_factor * boundary_weight) / denom;
+  return ClusterScore(internal_weight, boundary_weight, members.size(),
+                      boundary_factor);
 }
 
 const AlgorithmSpec& SemiClusteringSpec() {
@@ -120,11 +227,9 @@ SemiClusterValue SemiClusteringProgram::InitialValue(VertexId v,
 }
 
 void SemiClusteringProgram::Compute(
-    bsp::VertexContext<SemiClusterValue, SemiClusterMessage>* ctx,
-    std::span<const SemiClusterMessage> messages) {
+    Context* ctx, std::span<const SemiClusterMessage> messages) {
   const VertexId self = ctx->id();
   std::vector<SemiCluster>& own = ctx->value().clusters;
-  const ClusterOrder order{boundary_factor_};
 
   if (ctx->superstep() == 0) {
     // Send the singleton cluster to all neighbors.
@@ -136,52 +241,123 @@ void SemiClusteringProgram::Compute(
     return;
   }
 
-  // Candidates for forwarding: every received cluster plus the extension
-  // of each one by this vertex (when legal).
+  // Score every candidate without building it: each received cluster,
+  // plus its extension by this vertex when legal. One lower_bound per
+  // received cluster gives both where `self` would go and whether the
+  // cluster already contains it.
   const IncidentEdges incident(*ctx);
-  std::vector<SemiCluster> candidates;
+  const CandidateOrder order{self};
+  Scratch& scratch = ThreadScratch();
+  std::vector<Candidate>& with_self = scratch.with_self;
+  std::vector<Candidate>& without_self = scratch.without_self;
   for (const SemiClusterMessage& msg : messages) {
     for (const SemiCluster& cluster : *msg.clusters) {
-      candidates.push_back(cluster);
-      if (!cluster.ContainsVertex(self) && cluster.members.size() < v_max_) {
-        const double to_members = incident.WeightTo(cluster.members);
-        const double total = incident.total_weight();
-        SemiCluster extended = cluster;
-        extended.members.insert(
-            std::lower_bound(extended.members.begin(), extended.members.end(),
-                             self),
-            self);
-        // Edges from this vertex to members become internal; members'
-        // boundary edges towards this vertex stop being boundary; this
-        // vertex's other incident edges become new boundary edges.
-        extended.internal_weight += to_members;
-        extended.boundary_weight += (total - to_members) - to_members;
-        candidates.push_back(std::move(extended));
+      const std::vector<VertexId>& members = cluster.members;
+      const auto pos = std::lower_bound(members.begin(), members.end(), self);
+      const bool has_self = pos != members.end() && *pos == self;
+      const auto self_pos = static_cast<uint32_t>(pos - members.begin());
+      (has_self ? with_self : without_self)
+          .push_back({cluster.Score(boundary_factor_), &cluster, self_pos,
+                      false});
+      if (!has_self && members.size() < v_max_) {
+        const auto [internal, boundary] = incident.ExtendedWeights(cluster);
+        with_self.push_back({ClusterScore(internal, boundary,
+                                          members.size() + 1,
+                                          boundary_factor_),
+                             &cluster, self_pos, true});
       }
     }
   }
 
-  std::sort(candidates.begin(), candidates.end(), order);
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  // The selection below picks exactly what sorting all candidates and
+  // dropping each one whose members equal its predecessor's (std::unique)
+  // would: whether a candidate survives depends only on the one just
+  // before it, so walking a sorted prefix suffices. Equal keys imply
+  // equal members, so they never straddle the two lists.
+  LazySorted sorted_with_self(with_self, order);
+  LazySorted sorted_without_self(without_self, order);
 
-  // Forward the s_max best known clusters.
-  if (!candidates.empty() && ctx->out_degree() > 0) {
-    auto forwarded = std::make_shared<std::vector<SemiCluster>>(
-        candidates.begin(),
-        candidates.begin() + std::min(s_max_, candidates.size()));
+  // The s_max best candidates, to forward.
+  std::vector<const Candidate*>& forward = scratch.forward;
+  {
+    size_t a = 0;
+    size_t b = 0;
+    const Candidate* prev = nullptr;
+    while (forward.size() < s_max_) {
+      const Candidate* x = sorted_with_self.At(a);
+      const Candidate* y = sorted_without_self.At(b);
+      if (x == nullptr && y == nullptr) break;
+      const bool take_x = y == nullptr || (x != nullptr && order(*x, *y));
+      const Candidate* next = take_x ? (++a, x) : (++b, y);
+      if (prev == nullptr || CompareMembers(*prev, *next, self) != 0) {
+        forward.push_back(next);
+      }
+      prev = next;
+    }
+  }
+
+  // The c_max best of this vertex's own clusters plus the surviving
+  // candidates that contain it, by the same sort + unique rule. A
+  // candidate with self can equal only another with self: it survives
+  // the first unique unless the with-self candidate before it has the
+  // same members and no without-self candidate sorts between the two.
+  std::vector<Candidate>& previous = scratch.previous;
+  for (const SemiCluster& cluster : own) {
+    previous.push_back({cluster.Score(boundary_factor_), &cluster, 0, false});
+  }
+  std::sort(previous.begin(), previous.end(), order);
+  std::vector<const Candidate*>& keep = scratch.keep;
+  {
+    size_t q = 0;
+    size_t j = 0;
+    const Candidate* prev = nullptr;
+    while (keep.size() < c_max_) {
+      const Candidate* x = sorted_with_self.At(q);
+      while (x != nullptr && q > 0) {
+        const Candidate& before = *sorted_with_self.At(q - 1);
+        if (CompareMembers(before, *x, self) != 0 ||
+            (before.score != x->score &&
+             sorted_without_self.AnyBetween(before, *x))) {
+          break;
+        }
+        x = sorted_with_self.At(++q);
+      }
+      const Candidate* o = j < previous.size() ? &previous[j] : nullptr;
+      if (x == nullptr && o == nullptr) break;
+      // On a tie the own cluster comes first, as in the reference's
+      // (insertion-)sort of own + candidates.
+      const bool take_own = o != nullptr && (x == nullptr || !order(*x, *o));
+      const Candidate* next = take_own ? (++j, o) : (++q, x);
+      if (prev == nullptr || CompareMembers(*prev, *next, self) != 0) {
+        keep.push_back(next);
+      }
+      prev = next;
+    }
+  }
+
+  // Build only the winners.
+  const auto build = [&](const Candidate& c) {
+    if (!c.extended) return *c.source;
+    const std::vector<VertexId>& members = c.source->members;
+    SemiCluster cluster;
+    cluster.members.reserve(members.size() + 1);
+    cluster.members.assign(members.begin(), members.begin() + c.self_pos);
+    cluster.members.push_back(self);
+    cluster.members.insert(cluster.members.end(),
+                           members.begin() + c.self_pos, members.end());
+    std::tie(cluster.internal_weight, cluster.boundary_weight) =
+        incident.ExtendedWeights(*c.source);
+    return cluster;
+  };
+  if (!forward.empty() && ctx->out_degree() > 0) {
+    auto forwarded = std::make_shared<std::vector<SemiCluster>>();
+    forwarded->reserve(forward.size());
+    for (const Candidate* c : forward) forwarded->push_back(build(*c));
     ctx->SendMessageToAllNeighbors(SemiClusterMessage{std::move(forwarded)});
   }
-
-  // Update this vertex's list of c_max best clusters containing itself.
-  std::vector<SemiCluster> containing = own;
-  for (const SemiCluster& cluster : candidates) {
-    if (cluster.ContainsVertex(self)) containing.push_back(cluster);
-  }
-  std::sort(containing.begin(), containing.end(), order);
-  containing.erase(std::unique(containing.begin(), containing.end()),
-                   containing.end());
-  if (containing.size() > c_max_) containing.resize(c_max_);
+  std::vector<SemiCluster> containing;
+  containing.reserve(keep.size());
+  for (const Candidate* c : keep) containing.push_back(build(*c));
 
   // A cluster counts as updated if it was not in the previous list.
   uint64_t updated = 0;
@@ -225,6 +401,22 @@ Result<SemiClusteringResult> RunSemiClustering(
     const bsp::EngineOptions& engine_options) {
   PREDICT_ASSIGN_OR_RETURN(AlgorithmConfig config,
                            ResolveConfig(SemiClusteringSpec(), overrides));
+  // The program casts the sizes to size_t and selects by them.
+  for (const char* key : {"v_max", "c_max", "s_max"}) {
+    const double value = config.at(key);
+    if (!(value >= 1.0 && value < 4294967296.0) ||
+        value != std::floor(value)) {
+      return Status::InvalidArgument(std::string("semiclustering: ") + key +
+                                     " must be a whole number in [1, 2^32), "
+                                     "got " + FormatDouble(value, 17));
+    }
+  }
+  for (const char* key : {"f_b", "tau"}) {
+    if (!std::isfinite(config.at(key))) {
+      return Status::InvalidArgument(std::string("semiclustering: ") + key +
+                                     " must be finite");
+    }
+  }
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
   SemiClusteringProgram program(config);
   bsp::Engine<SemiClusterValue, SemiClusterMessage> engine(engine_options);

@@ -12,12 +12,24 @@
 // Convergence: updatedClusters/totalClusters < tau (a relative ratio;
 // the identity transform rule applies).
 //
+// Each superstep a vertex scores every candidate (each received cluster
+// and its legal extension by the vertex) from the source cluster's
+// (I, B, |members|) and its own CSR row, without building it, then
+// selects the top s_max to forward and the top c_max to keep exactly as
+// sorting all candidates and dropping adjacent equal-member duplicates
+// would, and builds only those. Edge weights to members are found by
+// binary search in the vertex's row, so Compute needs sorted,
+// duplicate-free rows: RunSemiClustering runs on ToUndirected output,
+// which has them.
+//
 // Config keys:
 //   "f_b"    boundary edge factor, default 0.1
 //   "v_max"  max vertices per cluster, default 10
 //   "c_max"  clusters kept per vertex, default 1
 //   "s_max"  clusters forwarded per vertex, default 1
 //   "tau"    update-ratio threshold, default 0.001
+// RunSemiClustering rejects v_max/c_max/s_max that are not whole numbers
+// in [1, 2^32) and a non-finite f_b or tau with InvalidArgument.
 
 #ifndef PREDICT_ALGORITHMS_SEMICLUSTERING_H_
 #define PREDICT_ALGORITHMS_SEMICLUSTERING_H_

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <set>
 
@@ -294,6 +295,32 @@ TEST(SemiClusteringTest, MessageBytesGrowWithClusterSize) {
   SemiClusterMessage large_msg{
       std::make_shared<const std::vector<SemiCluster>>(1, large)};
   EXPECT_GT(program.MessageBytes(large_msg), program.MessageBytes(small_msg));
+}
+
+TEST(SemiClusteringTest, RejectsUnboundedOrNonFiniteConfig) {
+  const Graph g = GenerateComplete(6).MoveValue();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<AlgorithmConfig> bad = {
+      {{"v_max", -1}},          {{"v_max", 0}},
+      {{"v_max", 2.5}},         {{"v_max", 4294967296.0}},
+      {{"v_max", nan}},         {{"c_max", 0}},
+      {{"c_max", inf}},         {{"s_max", 1e30}},
+      {{"s_max", -3}},          {{"s_max", 0.5}},
+      {{"f_b", nan}},           {{"f_b", -inf}},
+      {{"tau", inf}},           {{"tau", nan}},
+  };
+  for (const AlgorithmConfig& config : bad) {
+    const auto& [key, value] = *config.begin();
+    SCOPED_TRACE(key + "=" + std::to_string(value));
+    auto result = RunSemiClustering(g, config, FastEngine(2));
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument());
+  }
+  // The bounds themselves are accepted.
+  EXPECT_TRUE(RunSemiClustering(g, {{"v_max", 1}, {"s_max", 4294967295.0}},
+                                FastEngine(2))
+                  .ok());
 }
 
 TEST(SemiClusteringTest, DeterministicAcrossRuns) {

@@ -1,5 +1,6 @@
-# Exit-code smoke test of predict_cli: a flag the command does not read
-# and a malformed flag value exit 2, valid commands exit 0.
+# Exit-code smoke test of predict_cli: a flag the command does not read,
+# a malformed flag value, an unknown sampler and a --config value the
+# algorithm rejects exit 2; valid commands exit 0.
 #
 #   cmake -DCLI=/path/to/predict_cli -P tests/cli_smoke.cmake
 
@@ -19,5 +20,10 @@ expect_exit(2 whatif --algorithm pagerank --dataset wiki --scale 0.05
             --history runs.csv)
 expect_exit(2 run --algorithm pagerank --dataset wiki --scale 0.05
             --workers abc)
+expect_exit(2 sample --dataset wiki --scale 0.05 --method XYZ)
+expect_exit(2 run --algorithm pagerank --dataset wiki --scale 0.05
+            --config tau=abc)
+expect_exit(2 run --algorithm semiclustering --dataset wiki --scale 0.05
+            --config v_max=-1)
 expect_exit(0 scenarios)
 expect_exit(0 predict --algorithm pagerank --dataset wiki --scale 0.05)

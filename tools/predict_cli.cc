@@ -157,10 +157,9 @@ Result<uint64_t> ParseUint64Flag(const Flags& flags, const std::string& name,
   return static_cast<uint64_t>(value);
 }
 
-Result<double> ParseDoubleFlag(const Flags& flags, const std::string& name,
-                               double fallback) {
-  const std::string text = GetFlag(flags, name);
-  if (text.empty()) return fallback;
+/// Parses all of `text` as a finite double; `what` names it in the error.
+Result<double> ParseFiniteDouble(const std::string& text,
+                                 const std::string& what) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
@@ -169,11 +168,17 @@ Result<double> ParseDoubleFlag(const Flags& flags, const std::string& name,
   // check without a word) — reject anything non-finite.
   if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
       !std::isfinite(value)) {
-    return Status::InvalidArgument("--" + name +
-                                   " expects a finite number, got '" + text +
-                                   "'");
+    return Status::InvalidArgument(what + " expects a finite number, got '" +
+                                   text + "'");
   }
   return value;
+}
+
+Result<double> ParseDoubleFlag(const Flags& flags, const std::string& name,
+                               double fallback) {
+  const std::string text = GetFlag(flags, name);
+  if (text.empty()) return fallback;
+  return ParseFiniteDouble(text, "--" + name);
 }
 
 /// Prints a flag-parsing error and returns the exit code for it.
@@ -182,11 +187,14 @@ int FlagError(const Status& status) {
   return 2;
 }
 
-SamplerKind ParseSamplerKind(const std::string& name) {
-  if (name == "RJ") return SamplerKind::kRandomJump;
-  if (name == "MHRW") return SamplerKind::kMetropolisHastingsRW;
-  if (name == "FF") return SamplerKind::kForestFire;
-  return SamplerKind::kBiasedRandomJump;
+Result<SamplerKind> ParseSamplerKind(const std::string& name) {
+  for (const SamplerKind kind :
+       {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump,
+        SamplerKind::kMetropolisHastingsRW, SamplerKind::kForestFire}) {
+    if (name == SamplerKindName(kind)) return kind;
+  }
+  return Status::InvalidArgument(
+      "--method must be one of RJ, BRJ, MHRW, FF, got '" + name + "'");
 }
 
 /// The sampler flag set (--method/--ratio/--seed/--segment-steps) shared
@@ -194,7 +202,8 @@ SamplerKind ParseSamplerKind(const std::string& name) {
 /// walks (RJ/BRJ), the prerequisite for incremental re-sampling across
 /// graph versions.
 Status ParseSamplerFlags(const Flags& flags, SamplerOptions* options) {
-  options->kind = ParseSamplerKind(GetFlag(flags, "method", "BRJ"));
+  PREDICT_ASSIGN_OR_RETURN(options->kind,
+                           ParseSamplerKind(GetFlag(flags, "method", "BRJ")));
   PREDICT_ASSIGN_OR_RETURN(options->sampling_ratio,
                            ParseDoubleFlag(flags, "ratio", 0.1));
   PREDICT_ASSIGN_OR_RETURN(options->seed, ParseUint64Flag(flags, "seed", 42));
@@ -239,7 +248,9 @@ Result<AlgorithmConfig> ParseConfigPairs(const std::vector<std::string>& pairs) 
     if (eq == std::string::npos) {
       return Status::InvalidArgument("--config expects k=v, got '" + pair + "'");
     }
-    config[pair.substr(0, eq)] = std::atof(pair.c_str() + eq + 1);
+    const std::string key = pair.substr(0, eq);
+    PREDICT_ASSIGN_OR_RETURN(
+        config[key], ParseFiniteDouble(pair.substr(eq + 1), "--config " + key));
   }
   return config;
 }
@@ -396,10 +407,7 @@ int CmdRun(const Flags& flags) {
   }
   const std::string algorithm = GetFlag(flags, "algorithm");
   auto config = ParseConfigPairs(flags.config_pairs);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
+  if (!config.ok()) return FlagError(config.status());
   RunOptions options;
   auto engine = EngineFromFlags(flags);
   if (!engine.ok()) return FlagError(engine.status());
@@ -407,6 +415,9 @@ int CmdRun(const Flags& flags) {
   options.config_overrides = *config;
   auto result = RunAlgorithmByName(algorithm, *graph, options);
   if (!result.ok()) {
+    // InvalidArgument here is an input the command line chose (e.g. a
+    // --config key or value the algorithm rejects): a flag error.
+    if (result.status().IsInvalidArgument()) return FlagError(result.status());
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
@@ -443,10 +454,7 @@ int CmdPredict(const Flags& flags) {
   }
   const std::string algorithm = GetFlag(flags, "algorithm");
   auto config = ParseConfigPairs(flags.config_pairs);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
+  if (!config.ok()) return FlagError(config.status());
 
   PredictorOptions options;
   const Status sampler_flags = ParseSamplerFlags(flags, &options.sampler);
@@ -793,10 +801,7 @@ int CmdWhatIf(const Flags& flags) {
   }
   const std::string algorithm = GetFlag(flags, "algorithm");
   auto config = ParseConfigPairs(flags.config_pairs);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
+  if (!config.ok()) return FlagError(config.status());
 
   std::vector<bsp::ClusterScenario> scenarios;
   const std::string names = GetFlag(flags, "scenarios", "all");
