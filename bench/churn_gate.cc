@@ -1,7 +1,7 @@
 // Churn gate (ctest: churn_gate, labels bench-smoke and churn).
 //
 // Guards the evolving-graph bargain: after 1% edge churn, re-predicting
-// through the incremental machinery (delta overlay + spliced re-walk +
+// through the incremental machinery (one-step delta Apply + spliced re-walk +
 // content-keyed profile cache) must cost at most 10% of a cold predict —
 // and stay bit-identical to a from-scratch predict on the mutated graph.
 //

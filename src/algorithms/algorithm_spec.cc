@@ -1,5 +1,9 @@
 #include "algorithms/algorithm_spec.h"
 
+#include <cmath>
+
+#include "common/strings.h"
+
 namespace predict {
 
 const char* ConvergenceKindName(ConvergenceKind kind) {
@@ -24,7 +28,28 @@ Result<AlgorithmConfig> ResolveConfig(const AlgorithmSpec& spec,
     }
     config[key] = value;
   }
+  if (spec.check_config != nullptr) {
+    PREDICT_RETURN_NOT_OK(StatusAnnotate(spec.check_config(config), spec.name));
+  }
   return config;
+}
+
+Status CheckWholeInRange(const AlgorithmConfig& config, const char* key,
+                         double lo, double hi) {
+  const double value = config.at(key);
+  if (value >= lo && value < hi && value == std::floor(value)) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument(std::string(key) +
+                                 " must be a whole number in [" +
+                                 FormatDouble(lo, 17) + ", " +
+                                 FormatDouble(hi, 17) + "), got " +
+                                 FormatDouble(value, 17));
+}
+
+Status CheckFinite(const AlgorithmConfig& config, const char* key) {
+  if (std::isfinite(config.at(key))) return Status::OK();
+  return Status::InvalidArgument(std::string(key) + " must be finite");
 }
 
 Result<double> GetConfigValue(const AlgorithmConfig& config,

@@ -52,12 +52,25 @@ struct AlgorithmSpec {
   /// Which config keys are convergence parameters (Conv in §3.2.2); the
   /// rest are configuration parameters (Conf).
   std::vector<std::string> convergence_keys = {"tau"};
+  /// Bound checks on a resolved config: values the program casts to an
+  /// integer type or needs finite. Returns InvalidArgument naming the
+  /// key; null accepts every value.
+  Status (*check_config)(const AlgorithmConfig& config) = nullptr;
 };
 
-/// Merges `overrides` over `spec.default_config` and validates that every
-/// override key exists in the spec.
+/// Merges `overrides` over `spec.default_config`, validates that every
+/// override key exists in the spec, and runs `spec.check_config` on the
+/// result (its error prefixed with the algorithm name).
 Result<AlgorithmConfig> ResolveConfig(const AlgorithmSpec& spec,
                                       const AlgorithmConfig& overrides);
+
+/// InvalidArgument unless config[key] is a whole number in [lo, hi), the
+/// range the integer type a program casts it to can hold.
+Status CheckWholeInRange(const AlgorithmConfig& config, const char* key,
+                         double lo, double hi);
+
+/// InvalidArgument unless config[key] is finite.
+Status CheckFinite(const AlgorithmConfig& config, const char* key);
 
 /// Fetches a config value, with a precise error naming the key.
 Result<double> GetConfigValue(const AlgorithmConfig& config,

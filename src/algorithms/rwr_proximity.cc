@@ -12,6 +12,9 @@ const AlgorithmSpec& RwrProximitySpec() {
     s.default_config = {{"restart", 0.85}, {"tau", 1e-8}, {"source", -1.0}};
     s.requires_undirected = false;
     s.convergence_keys = {"tau"};
+    s.check_config = [](const AlgorithmConfig& config) {
+      return CheckFinite(config, "source");
+    };
     return s;
   }();
   return spec;
@@ -62,9 +65,10 @@ void RwrProximityProgram::MasterCompute(bsp::MasterContext* ctx) {
 }
 
 VertexId ResolveRwrSource(const AlgorithmConfig& config, const Graph& graph) {
+  // Compared as a double: only an in-range value is cast.
   const double configured = config.at("source");
   if (configured >= 0.0 &&
-      static_cast<uint64_t>(configured) < graph.num_vertices()) {
+      configured < static_cast<double>(graph.num_vertices())) {
     return static_cast<VertexId>(configured);
   }
   VertexId best = 0;

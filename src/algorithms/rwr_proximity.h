@@ -17,7 +17,9 @@
 // Config keys:
 //   "restart"  walk-continue probability c, default 0.85
 //   "tau"      average-delta threshold (<= 0: run to max_supersteps)
-//   "source"   source vertex id; < 0 selects the max-out-degree vertex
+//   "source"   source vertex id; < 0 or >= |V| (as on a sample) selects
+//              the max-out-degree vertex; ResolveConfig rejects a
+//              non-finite one
 
 #ifndef PREDICT_ALGORITHMS_RWR_PROXIMITY_H_
 #define PREDICT_ALGORITHMS_RWR_PROXIMITY_H_
@@ -60,7 +62,7 @@ class RwrProximityProgram final
 };
 
 /// Picks the source vertex for a config: explicit id, or the
-/// max-out-degree vertex when "source" < 0.
+/// max-out-degree vertex when "source" < 0 or >= |V|.
 VertexId ResolveRwrSource(const AlgorithmConfig& config, const Graph& graph);
 
 struct RwrResult {

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <functional>
 #include <string>
 #include <tuple>
 #include <utility>
 
-#include "common/strings.h"
 #include "graph/transforms.h"
 
 namespace predict {
@@ -190,6 +188,16 @@ const AlgorithmSpec& SemiClusteringSpec() {
                         {"s_max", 1},  {"tau", 0.001}};
     s.requires_undirected = true;
     s.convergence_keys = {"tau"};
+    // The program casts the sizes to size_t and selects by them.
+    s.check_config = [](const AlgorithmConfig& config) {
+      for (const char* key : {"v_max", "c_max", "s_max"}) {
+        PREDICT_RETURN_NOT_OK(CheckWholeInRange(config, key, 1, 4294967296.0));
+      }
+      for (const char* key : {"f_b", "tau"}) {
+        PREDICT_RETURN_NOT_OK(CheckFinite(config, key));
+      }
+      return Status::OK();
+    };
     return s;
   }();
   return spec;
@@ -401,22 +409,6 @@ Result<SemiClusteringResult> RunSemiClustering(
     const bsp::EngineOptions& engine_options) {
   PREDICT_ASSIGN_OR_RETURN(AlgorithmConfig config,
                            ResolveConfig(SemiClusteringSpec(), overrides));
-  // The program casts the sizes to size_t and selects by them.
-  for (const char* key : {"v_max", "c_max", "s_max"}) {
-    const double value = config.at(key);
-    if (!(value >= 1.0 && value < 4294967296.0) ||
-        value != std::floor(value)) {
-      return Status::InvalidArgument(std::string("semiclustering: ") + key +
-                                     " must be a whole number in [1, 2^32), "
-                                     "got " + FormatDouble(value, 17));
-    }
-  }
-  for (const char* key : {"f_b", "tau"}) {
-    if (!std::isfinite(config.at(key))) {
-      return Status::InvalidArgument(std::string("semiclustering: ") + key +
-                                     " must be finite");
-    }
-  }
   PREDICT_ASSIGN_OR_RETURN(Graph undirected, ToUndirected(graph));
   SemiClusteringProgram program(config);
   bsp::Engine<SemiClusterValue, SemiClusterMessage> engine(engine_options);

@@ -28,8 +28,9 @@
 //   "c_max"  clusters kept per vertex, default 1
 //   "s_max"  clusters forwarded per vertex, default 1
 //   "tau"    update-ratio threshold, default 0.001
-// RunSemiClustering rejects v_max/c_max/s_max that are not whole numbers
-// in [1, 2^32) and a non-finite f_b or tau with InvalidArgument.
+// ResolveConfig (SemiClusteringSpec's check) rejects v_max/c_max/s_max
+// that are not whole numbers in [1, 2^32) and a non-finite f_b or tau
+// with InvalidArgument.
 
 #ifndef PREDICT_ALGORITHMS_SEMICLUSTERING_H_
 #define PREDICT_ALGORITHMS_SEMICLUSTERING_H_

@@ -39,6 +39,12 @@ const AlgorithmSpec& TopKRankingSpec() {
     s.requires_undirected = false;
     s.requires_rank_input = true;
     s.convergence_keys = {"tau"};
+    // The program casts k to size_t; the rank pre-pass casts
+    // rank_iterations to int.
+    s.check_config = [](const AlgorithmConfig& config) {
+      PREDICT_RETURN_NOT_OK(CheckWholeInRange(config, "k", 1, 4294967296.0));
+      return CheckWholeInRange(config, "rank_iterations", 0, 2147483648.0);
+    };
     return s;
   }();
   return spec;

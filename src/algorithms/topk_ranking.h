@@ -16,6 +16,9 @@
 //   "tau"  active-ratio threshold, default 0.001
 //   "rank_iterations"  supersteps of the internal fixed-iteration
 //          PageRank used to produce input ranks when none are supplied
+// ResolveConfig (TopKRankingSpec's check) rejects a k that is not a whole
+// number in [1, 2^32) and a rank_iterations that is not one in [0, 2^31)
+// with InvalidArgument.
 
 #ifndef PREDICT_ALGORITHMS_TOPK_RANKING_H_
 #define PREDICT_ALGORITHMS_TOPK_RANKING_H_

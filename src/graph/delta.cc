@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -61,8 +63,8 @@ Graph GraphFromCanonicalRows(uint64_t v_count,
 }
 
 // Every in-row lists its sources in ascending order (a source appears
-// once per parallel edge). Canonicalize and Compact both produce this
-// order, and Compact's in-row merge relies on it.
+// once per parallel edge). Canonicalize and Apply both produce this
+// order, and Apply's in-row merge relies on it.
 [[maybe_unused]] bool InRowsAscending(const Graph& g) {
   for (uint64_t v = 0; v < g.num_vertices(); ++v) {
     const auto row = g.in_neighbors(static_cast<VertexId>(v));
@@ -71,15 +73,8 @@ Graph GraphFromCanonicalRows(uint64_t v_count,
   return true;
 }
 
-// One overlay entry seen from its target: `src` gains (add) or loses
-// one in-edge occurrence into `dst`.
-struct InDelta {
-  VertexId dst;
-  VertexId src;
-  bool add;
-};
-
-// An InDelta once bucketed by target.
+// A net change seen from its target: `src` gains (add) or loses one
+// in-edge occurrence.
 struct SourceDelta {
   VertexId src;
   bool add;
@@ -122,6 +117,132 @@ void PatchRows(std::span<const uint64_t> base_offsets,
   copy_run(base_offsets.size() - 1);
 }
 
+// The version `changes` makes of `base`, as a fresh canonical CSR.
+// `changes` is a batch's net effect: sorted by (src, dst), each key's
+// deletes (consuming its first surviving base occurrences) before its
+// inserts, the inserts in weight-bits order. Weights exist only when the
+// base has them or an insert brings a non-1.0 one (allocated on the
+// first such insert: every slot before it holds 1.0 either way).
+Graph PatchedGraph(const Graph& base, std::span<const EdgeDelta> changes) {
+  const uint64_t v_count = base.num_vertices();
+  uint64_t e_count = base.num_edges();
+  // The dirty out-rows and where each one's changes start; `cursor`
+  // counts the changes per target for the in-CSR below.
+  std::vector<VertexId> dirty_sources;
+  std::vector<size_t> row_begin;
+  std::vector<uint64_t> cursor(v_count + 1, 0);
+  for (size_t i = 0; i < changes.size(); ++i) {
+    const EdgeDelta& c = changes[i];
+    if (dirty_sources.empty() || dirty_sources.back() != c.src) {
+      dirty_sources.push_back(c.src);
+      row_begin.push_back(i);
+    }
+    e_count = c.op == EdgeDelta::Op::kInsert ? e_count + 1 : e_count - 1;
+    ++cursor[c.dst + 1];
+  }
+  row_begin.push_back(changes.size());
+
+  std::vector<uint64_t> out_offsets(v_count + 1);
+  std::vector<VertexId> out_targets(e_count);
+  std::vector<float> out_weights(base.is_weighted() ? e_count : 0);
+  PatchRows(
+      base.out_offsets(), base.out_targets(), base.out_weights(),
+      dirty_sources, out_offsets.data(), out_targets.data(),
+      out_weights.data(), [&](size_t k, uint64_t slot) {
+        const VertexId v = dirty_sources[k];
+        const auto targets = base.out_neighbors(v);
+        const std::span<const float> weights =
+            base.is_weighted() ? base.out_weights(v) : std::span<const float>{};
+        const auto weight_at = [&](size_t i) {
+          return weights.empty() ? 1.0f : weights[i];
+        };
+        uint64_t s = slot;
+        const auto emit = [&](VertexId dst, float w) {
+          out_targets[s] = dst;
+          if (w != 1.0f && out_weights.empty()) {
+            out_weights.assign(e_count, 1.0f);
+          }
+          if (!out_weights.empty()) out_weights[s] = w;
+          ++s;
+        };
+        // Both sides are in canonical order; ties emit base first.
+        size_t bi = 0;
+        for (size_t i = row_begin[k]; i < row_begin[k + 1]; ++i) {
+          const EdgeDelta& c = changes[i];
+          const bool insert = c.op == EdgeDelta::Op::kInsert;
+          for (; bi < targets.size() &&
+                 (targets[bi] < c.dst ||
+                  (insert && targets[bi] == c.dst &&
+                   WeightBits(weight_at(bi)) <= WeightBits(c.weight)));
+               ++bi) {
+            emit(targets[bi], weight_at(bi));
+          }
+          if (insert) {
+            emit(c.dst, c.weight);
+          } else {
+            assert(bi < targets.size() && targets[bi] == c.dst);
+            ++bi;  // the canonical-first surviving occurrence
+          }
+        }
+        for (; bi < targets.size(); ++bi) emit(targets[bi], weight_at(bi));
+        return s - slot;
+      });
+  assert(out_offsets[v_count] == e_count);
+
+  // In-CSR. A stable counting sort buckets the changes by target, so
+  // every bucket is ascending by source like the base in-rows it merges
+  // into; no comparison sort is needed. Afterwards target t's bucket is
+  // [cursor[t - 1], cursor[t]).
+  std::vector<VertexId> dirty_targets;
+  for (uint64_t t = 0; t < v_count; ++t) {
+    if (cursor[t + 1] != 0) dirty_targets.push_back(static_cast<VertexId>(t));
+    cursor[t + 1] += cursor[t];
+  }
+  std::vector<SourceDelta> by_target(changes.size());
+  for (const EdgeDelta& c : changes) {
+    by_target[cursor[c.dst]++] = {c.src, c.op == EdgeDelta::Op::kInsert};
+  }
+  // A delete's store lands on the next slot, which the next row
+  // overwrites; the spare slot covers the last row.
+  std::vector<uint64_t> in_offsets(v_count + 1);
+  std::vector<VertexId> in_sources(e_count + 1);
+  PatchRows(base.in_offsets(), base.in_sources(), {}, dirty_targets,
+            in_offsets.data(), in_sources.data(), nullptr,
+            [&](size_t k, uint64_t slot) {
+              const VertexId t = dirty_targets[k];
+              const auto base_row = base.in_neighbors(t);
+              uint64_t s = slot;
+              size_t b = 0;
+              for (uint64_t i = t == 0 ? 0 : cursor[t - 1]; i < cursor[t];
+                   ++i) {
+                const SourceDelta d = by_target[i];
+                while (b < base_row.size() && base_row[b] < d.src) {
+                  in_sources[s++] = base_row[b++];
+                }
+                // An add emits its source; a delete consumes the
+                // surviving base occurrence at b. Both store, so the
+                // merge has no branch on the kind.
+                assert(d.add || (b < base_row.size() && base_row[b] == d.src));
+                in_sources[s] = d.src;
+                s += d.add ? 1 : 0;
+                b += d.add ? 0 : 1;
+              }
+              while (b < base_row.size()) in_sources[s++] = base_row[b++];
+              return s - slot;
+            });
+  assert(in_offsets[v_count] == e_count);
+  in_sources.pop_back();
+
+  // Deleting the last non-1.0 edge makes the version unweighted.
+  if (std::none_of(out_weights.begin(), out_weights.end(),
+                   [](float w) { return w != 1.0f; })) {
+    out_weights = std::vector<float>();
+  }
+  return Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
+                        std::move(out_weights), std::move(in_offsets),
+                        std::move(in_sources));
+}
+
 }  // namespace
 
 Graph EvolvingGraph::Canonicalize(Graph g) {
@@ -157,265 +278,82 @@ Graph EvolvingGraph::Canonicalize(Graph g) {
 }
 
 EvolvingGraph::EvolvingGraph(Graph base)
-    : base_(Canonicalize(std::move(base))) {
-  assert(InRowsAscending(base_));
-  version_fp_ = base_.EdgeSetHash();
-}
-
-uint64_t EvolvingGraph::SurvivingBaseCount(VertexId v, VertexId dst) const {
-  const auto targets = base_.out_neighbors(v);
-  const auto [lo, hi] = std::equal_range(targets.begin(), targets.end(), dst);
-  uint64_t count = static_cast<uint64_t>(hi - lo);
-  const auto it = overlay_.find(v);
-  if (it != overlay_.end()) {
-    const auto& removes = it->second.removes;
-    const auto [rlo, rhi] =
-        std::equal_range(removes.begin(), removes.end(), dst);
-    count -= static_cast<uint64_t>(rhi - rlo);
-  }
-  return count;
-}
-
-uint64_t EvolvingGraph::out_degree(VertexId v) const {
-  uint64_t degree = base_.out_degree(v);
-  const auto it = overlay_.find(v);
-  if (it != overlay_.end()) {
-    degree += it->second.adds.size();
-    degree -= it->second.removes.size();
-  }
-  return degree;
+    : graph_(Canonicalize(std::move(base))) {
+  assert(InRowsAscending(graph_));
+  version_fp_ = graph_.EdgeSetHash();
 }
 
 Status EvolvingGraph::Apply(const EdgeDeltaBatch& batch) {
   const uint64_t v_count = num_vertices();
-
-  // Validate the whole batch against the current version before touching
-  // anything: replay it against per-vertex occurrence counters so a
-  // delete may consume an insert earlier in the same batch, and a batch
-  // over-deleting an edge (duplicate removal) is caught here.
-  {
-    // (src, dst) -> net occurrence delta within this batch.
-    std::unordered_map<uint64_t, int64_t> net;
-    const auto pack = [](VertexId s, VertexId d) {
-      return (static_cast<uint64_t>(s) << 32) | static_cast<uint64_t>(d);
-    };
-    for (const EdgeDelta& delta : batch) {
-      if (delta.src >= v_count || delta.dst >= v_count) {
-        return OffendingEdge(delta.op == EdgeDelta::Op::kInsert
-                                 ? "edge insert references an unknown vertex"
-                                 : "edge delete references an unknown vertex",
-                             delta.src, delta.dst);
-      }
-      int64_t& n = net[pack(delta.src, delta.dst)];
-      if (delta.op == EdgeDelta::Op::kInsert) {
-        ++n;
-        continue;
-      }
-      --n;
-      const uint64_t existing =
-          SurvivingBaseCount(delta.src, delta.dst) +
-          [&]() -> uint64_t {
-        const auto it = overlay_.find(delta.src);
-        if (it == overlay_.end()) return 0;
-        const auto& adds = it->second.adds;
-        const auto lo = std::lower_bound(
-            adds.begin(), adds.end(), delta.dst,
-            [](const auto& a, VertexId d) { return a.first < d; });
-        const auto hi = std::upper_bound(
-            adds.begin(), adds.end(), delta.dst,
-            [](VertexId d, const auto& a) { return d < a.first; });
-        return static_cast<uint64_t>(hi - lo);
-      }();
-      if (static_cast<int64_t>(existing) + n < 0) {
-        return OffendingEdge("delete of a non-existent edge", delta.src,
-                             delta.dst);
-      }
-    }
-  }
-
-  // Apply. Deletes cancel a pending add for the same (src, dst) first
-  // (most recent state), else consume a base occurrence.
+  EdgeDeltaBatch changes;
+  changes.reserve(batch.size());
   for (const EdgeDelta& delta : batch) {
-    VertexDelta& vd = overlay_[delta.src];
-    if (delta.op == EdgeDelta::Op::kInsert) {
-      const std::pair<VertexId, float> entry{delta.dst, delta.weight};
-      vd.adds.insert(std::upper_bound(vd.adds.begin(), vd.adds.end(), entry,
-                                      CanonicalLess),
-                     entry);
-      ++overlay_entries_;
-      ++edge_count_delta_;
-      version_fp_ += Graph::EdgeHash(delta.src, delta.dst, delta.weight);
-      continue;
+    if (delta.src >= v_count || delta.dst >= v_count) {
+      return OffendingEdge(delta.op == EdgeDelta::Op::kInsert
+                               ? "edge insert references an unknown vertex"
+                               : "edge delete references an unknown vertex",
+                           delta.src, delta.dst);
     }
-    // Delete: prefer cancelling a pending add (first add with this dst).
-    const auto add_it = std::lower_bound(
-        vd.adds.begin(), vd.adds.end(), delta.dst,
-        [](const auto& a, VertexId d) { return a.first < d; });
-    float removed_weight;
-    if (add_it != vd.adds.end() && add_it->first == delta.dst) {
-      removed_weight = add_it->second;
-      vd.adds.erase(add_it);
-      --overlay_entries_;
-    } else {
-      // Consume the next surviving base occurrence: its weight is the
-      // (removes-so-far)-th occurrence of dst in the sorted base row.
-      const auto targets = base_.out_neighbors(delta.src);
-      const auto lo =
-          std::lower_bound(targets.begin(), targets.end(), delta.dst);
-      const auto [rlo, rhi] = std::equal_range(vd.removes.begin(),
-                                               vd.removes.end(), delta.dst);
-      const uint64_t prior = static_cast<uint64_t>(rhi - rlo);
-      const uint64_t slot =
-          static_cast<uint64_t>(lo - targets.begin()) + prior;
-      removed_weight = base_.is_weighted()
-                           ? base_.out_weights(delta.src)[slot]
-                           : 1.0f;
-      vd.removes.insert(rhi, delta.dst);
-      ++overlay_entries_;
-    }
-    --edge_count_delta_;
-    version_fp_ -= Graph::EdgeHash(delta.src, delta.dst, removed_weight);
-    if (vd.adds.empty() && vd.removes.empty()) overlay_.erase(delta.src);
+    changes.push_back(delta);
   }
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const EdgeDelta& a, const EdgeDelta& b) {
+                     return std::pair(a.src, a.dst) < std::pair(b.src, b.dst);
+                   });
 
-  const uint64_t threshold = std::max<uint64_t>(
-      64, static_cast<uint64_t>(compaction_threshold_ *
-                                static_cast<double>(base_.num_edges())));
-  if (overlay_entries_ > threshold) return Compact();
-  return Status::OK();
-}
-
-Graph EvolvingGraph::PatchedBase() const {
-  const uint64_t v_count = num_vertices();
-  const uint64_t e_count = num_edges();
-
-  // Out-CSR. Weights exist only when the base has them or an add brings
-  // a non-1.0 one (allocated on the first such add: every slot before it
-  // holds 1.0 either way). The merge also lists each dirty row's changes
-  // seen from their targets, in ascending source order, counted per
-  // target.
-  std::vector<uint64_t> out_offsets(v_count + 1);
-  std::vector<VertexId> out_targets(e_count);
-  std::vector<float> out_weights(base_.is_weighted() ? e_count : 0);
-  std::vector<InDelta> in_deltas;
-  in_deltas.reserve(overlay_entries_);
-  std::vector<uint64_t> cursor(v_count + 1, 0);
-  {
-    // The overlay's rows in ascending source order, walked bucket by
-    // bucket: each bucket is an independent load, whereas the node list
-    // is one long chain of dependent ones.
-    std::vector<const VertexDelta*> by_source(v_count, nullptr);
-    for (size_t b = 0; b < overlay_.bucket_count(); ++b) {
-      for (auto it = overlay_.cbegin(b); it != overlay_.cend(b); ++it) {
-        by_source[it->first] = &it->second;
+  // Replays each (src, dst) key in batch order (see EdgeDelta for the
+  // delete rule) and rewrites `changes` in place to the key's net effect:
+  // its consumed base occurrences as deletes, then its uncancelled
+  // inserts in canonical order. Never more entries than the key had.
+  uint64_t fp = version_fp_;
+  size_t net = 0;
+  std::vector<float> pending;  // the key's uncancelled inserts, canonical
+  for (size_t i = 0; i < changes.size();) {
+    const VertexId src = changes[i].src;
+    const VertexId dst = changes[i].dst;
+    const auto row = graph_.out_neighbors(src);
+    const auto [lo, hi] = std::equal_range(row.begin(), row.end(), dst);
+    const uint64_t first = static_cast<uint64_t>(lo - row.begin());
+    const uint64_t occurrences = static_cast<uint64_t>(hi - lo);
+    uint64_t consumed = 0;
+    pending.clear();
+    for (; i < changes.size() && changes[i].src == src && changes[i].dst == dst;
+         ++i) {
+      const float w = changes[i].weight;
+      if (changes[i].op == EdgeDelta::Op::kInsert) {
+        pending.insert(std::upper_bound(pending.begin(), pending.end(), w,
+                                        [](float a, float b) {
+                                          return WeightBits(a) < WeightBits(b);
+                                        }),
+                       w);
+        fp += Graph::EdgeHash(src, dst, w);
+      } else if (!pending.empty()) {
+        fp -= Graph::EdgeHash(src, dst, pending.front());
+        pending.erase(pending.begin());
+      } else if (consumed < occurrences) {
+        const float base_w = graph_.is_weighted()
+                                 ? graph_.out_weights(src)[first + consumed]
+                                 : 1.0f;
+        fp -= Graph::EdgeHash(src, dst, base_w);
+        ++consumed;
+      } else {
+        return OffendingEdge("delete of a non-existent edge", src, dst);
       }
     }
-    std::vector<VertexId> dirty_sources;
-    dirty_sources.reserve(overlay_.size());
-    for (uint64_t v = 0; v < v_count; ++v) {
-      if (by_source[v] != nullptr) {
-        dirty_sources.push_back(static_cast<VertexId>(v));
-      }
+    for (uint64_t k = 0; k < consumed; ++k) {
+      changes[net++] = EdgeDelta::Delete(src, dst);
     }
-    PatchRows(
-        base_.out_offsets(), base_.out_targets(), base_.out_weights(),
-        dirty_sources, out_offsets.data(), out_targets.data(),
-        out_weights.data(), [&](size_t k, uint64_t slot) {
-          const VertexId v = dirty_sources[k];
-          const VertexDelta& delta = *by_source[v];
-          const auto targets = base_.out_neighbors(v);
-          const std::span<const float> weights =
-              base_.is_weighted() ? base_.out_weights(v)
-                                  : std::span<const float>{};
-          uint64_t s = slot;
-          MergeRow(targets, weights, delta, [&](VertexId dst, float w) {
-            out_targets[s] = dst;
-            if (w != 1.0f && out_weights.empty()) {
-              out_weights.assign(e_count, 1.0f);
-            }
-            if (!out_weights.empty()) out_weights[s] = w;
-            ++s;
-          });
-          for (const auto& add : delta.adds) {
-            in_deltas.push_back({add.first, v, true});
-            ++cursor[add.first + 1];
-          }
-          for (const VertexId dst : delta.removes) {
-            in_deltas.push_back({dst, v, false});
-            ++cursor[dst + 1];
-          }
-          assert(s - slot ==
-                 targets.size() + delta.adds.size() - delta.removes.size());
-          return s - slot;
-        });
-    assert(out_offsets[v_count] == e_count);
+    for (const float w : pending) changes[net++] = EdgeDelta::Insert(src, dst, w);
   }
+  changes.resize(net);
+  if (changes.empty()) return Status::OK();  // the batch cancelled out
 
-  // In-CSR. A stable counting sort buckets the in-deltas by target, so
-  // every bucket is ascending by source like the base in-rows it merges
-  // into; no comparison sort is needed. Afterwards target t's bucket is
-  // [cursor[t - 1], cursor[t]). Each scratch array is released once dead,
-  // so its pages can back the next allocation.
-  std::vector<VertexId> dirty_targets;
-  for (uint64_t t = 0; t < v_count; ++t) {
-    if (cursor[t + 1] != 0) dirty_targets.push_back(static_cast<VertexId>(t));
-    cursor[t + 1] += cursor[t];
-  }
-  std::vector<SourceDelta> by_target(in_deltas.size());
-  for (const InDelta& d : in_deltas) {
-    by_target[cursor[d.dst]++] = {d.src, d.add};
-  }
-  in_deltas = std::vector<InDelta>();
-  // A remove's store lands on the next slot, which the next row
-  // overwrites; the spare slot covers the last row.
-  std::vector<uint64_t> in_offsets(v_count + 1);
-  std::vector<VertexId> in_sources(e_count + 1);
-  PatchRows(base_.in_offsets(), base_.in_sources(), {}, dirty_targets,
-            in_offsets.data(), in_sources.data(), nullptr,
-            [&](size_t k, uint64_t slot) {
-              const VertexId t = dirty_targets[k];
-              const auto base_row = base_.in_neighbors(t);
-              uint64_t s = slot;
-              size_t b = 0;
-              for (uint64_t i = t == 0 ? 0 : cursor[t - 1]; i < cursor[t];
-                   ++i) {
-                const SourceDelta d = by_target[i];
-                while (b < base_row.size() && base_row[b] < d.src) {
-                  in_sources[s++] = base_row[b++];
-                }
-                // An add emits its source; a remove consumes the
-                // surviving base occurrence at b. Both store, so the
-                // merge has no branch on the kind.
-                assert(d.add || (b < base_row.size() && base_row[b] == d.src));
-                in_sources[s] = d.src;
-                s += d.add ? 1 : 0;
-                b += d.add ? 0 : 1;
-              }
-              while (b < base_row.size()) in_sources[s++] = base_row[b++];
-              return s - slot;
-            });
-  assert(in_offsets[v_count] == e_count);
-  in_sources.pop_back();
-
-  // Deleting the last non-1.0 edge makes the version unweighted.
-  if (std::none_of(out_weights.begin(), out_weights.end(),
-                   [](float w) { return w != 1.0f; })) {
-    out_weights = std::vector<float>();
-  }
-  return Graph::FromCsr(std::move(out_offsets), std::move(out_targets),
-                        std::move(out_weights), std::move(in_offsets),
-                        std::move(in_sources));
-}
-
-Status EvolvingGraph::Compact() {
-  if (!dirty()) return Status::OK();
-  // Build the fresh CSR entirely off to the side; the members are not
-  // touched until the very end (strong exception safety — a fault below
-  // leaves the current version fully intact).
-  Graph fresh = PatchedBase();
+  // Build the next version entirely off to the side; the members are not
+  // touched until the very end.
+  Graph next = PatchedGraph(graph_, changes);
 
   // The fault point sits between building and installing: an injected
-  // compaction fault can never leave a half-built CSR visible.
+  // fault can never leave a half-built CSR visible.
   {
     const Status faulted = [&]() -> Status {
       PREDICT_FAIL_POINT("graph.compact");
@@ -424,21 +362,11 @@ Status EvolvingGraph::Compact() {
     if (!faulted.ok()) return StatusAnnotate(faulted, "graph_compact");
   }
 
-  assert(fresh.EdgeSetHash() == VersionFingerprint());
-  assert(InRowsAscending(fresh));
-  base_ = std::move(fresh);
-  overlay_.clear();
-  overlay_entries_ = 0;
-  edge_count_delta_ = 0;
+  graph_ = std::move(next);
+  version_fp_ = fp;
+  assert(graph_.EdgeSetHash() == VersionFingerprint());
+  assert(InRowsAscending(graph_));
   return Status::OK();
-}
-
-Result<const Graph*> EvolvingGraph::Current() {
-  if (dirty()) {
-    const Status compacted = Compact();
-    if (!compacted.ok()) return compacted;
-  }
-  return &base_;
 }
 
 std::vector<VertexId> DirtyOutVertices(const Graph& before,

@@ -1,59 +1,56 @@
-// Evolving graphs: a delta overlay over the immutable CSR.
+// Evolving graphs: a canonical CSR that each delta batch patches into
+// the next version.
 //
 // PREDIcT's pipeline assumes a frozen input graph, but production graphs
-// churn between predictions. EvolvingGraph makes that churn cheap: edge
-// insert/delete batches accumulate in a per-vertex sorted overlay on top
-// of an immutable canonical CSR (the "base"), and the overlay is
-// compacted into a fresh CSR once it crosses a size threshold.
-// Algorithms, samplers and transforms read the compacted CSR that
-// Current() returns.
+// churn between predictions. EvolvingGraph holds exactly one version: a
+// canonical CSR plus its version fingerprint, with nothing pending.
+// Apply(batch) builds the next version in one step and Current() returns
+// it; algorithms, samplers and transforms read that CSR.
 //
-// Compaction patches the base CSR in both directions instead of
-// rebuilding it: offsets come from one O(V) running-shift pass, every
-// run of rows the overlay does not touch is copied in bulk, and only the
-// dirty out-rows (base row merged with the vertex's adds and removes)
-// and dirty in-rows (base sources merged with the target's in-deltas)
-// are rewritten. The work beyond the O(V + E) copy scales with the
-// overlay, not with the graph.
+// Apply sorts a copy of the batch by (src, dst), keeping batch order
+// within a key, and replays each key against the current CSR (EdgeDelta
+// states the delete rule). The net changes then patch both CSR
+// directions instead of rebuilding them: offsets come from one O(V)
+// running-shift pass, every run of rows the batch does not touch is
+// copied in bulk, and only the dirty out-rows (sources of a change) and
+// dirty in-rows (its targets) are rewritten. The work beyond the O(V + E)
+// copy scales with the batch, not with the graph.
 //
 // Versioned fingerprints. Every version of the edge set has a stable
 // 64-bit identity maintained incrementally: the chain is anchored at the
 // base CSR's order-independent Graph::EdgeSetHash() and each mutation
 // adds (insert) or subtracts (delete) the edge's Graph::EdgeHash — a
-// commutative multiset hash, so ANY interleaving of batches and
-// compactions reaching the same edge set reaches the same
-// VersionFingerprint (and an insert cancelled by a delete restores the
-// previous version's identity exactly). Compaction preserves the value;
-// in debug builds it is re-derived from the fresh CSR and asserted.
+// commutative multiset hash, so ANY sequence of batches reaching the same
+// edge set reaches the same VersionFingerprint (and an insert cancelled
+// by a delete restores the previous version's identity exactly). Debug
+// builds re-derive it from every new CSR and assert.
 //
-// Canonical adjacency. The edge set alone must determine the compacted
-// CSR bytes (otherwise two routes to the same version could feed
-// bit-different adjacency orders to the deterministic algorithms), so
-// EvolvingGraph keeps every vertex's out-list sorted by (dst, weight
-// bits). The base is normalized on construction (Canonicalize), merges
-// preserve the order, and compaction emits it — a cold
-// Canonicalize(Graph::FromEdges(mutated edge list)) is byte-identical
-// to the evolved graph's compacted CSR, in both directions. The in-CSR
-// has a canonical order too: every in-row lists its sources ascending
-// (once per parallel edge). Canonicalize and Compact both produce it,
-// Compact's in-row merge relies on it, and debug builds assert it.
+// Canonical adjacency. The edge set alone must determine the CSR bytes
+// (otherwise two routes to the same version could feed bit-different
+// adjacency orders to the deterministic algorithms), so EvolvingGraph
+// keeps every vertex's out-list sorted by (dst, weight bits). The base is
+// normalized on construction (Canonicalize) and Apply preserves the
+// order — a cold Canonicalize(Graph::FromEdges(mutated edge list)) is
+// byte-identical to the evolved graph's CSR, in both directions. The
+// in-CSR has a canonical order too: every in-row lists its sources
+// ascending (once per parallel edge). Canonicalize and Apply both produce
+// it, Apply's in-row merge relies on it, and debug builds assert it.
 //
-// Failure semantics: Apply validates the whole batch before mutating
-// anything (unknown vertex, delete of a non-existent edge, duplicate
-// removal — each an InvalidArgument carrying the offending (src, dst));
-// compaction builds the fresh CSR off to the side and installs it only
-// at the very end, so a fault inside compaction (fail point
-// "graph.compact") leaves the overlay and the current version fully
-// intact — callers retry, and caches keyed on the version fingerprint
-// can never observe a half-compacted graph.
+// Failure semantics: Apply is all-or-nothing. It validates the whole
+// batch against the current version (unknown vertex, delete of a
+// non-existent edge, duplicate removal — each an InvalidArgument carrying
+// the offending (src, dst)) and builds the next CSR off to the side,
+// installing it only at the very end. A fault injected between building
+// and installing (fail point "graph.compact", annotated "graph_compact")
+// leaves the CSR and the version untouched, and retrying the same batch
+// reaches the unfaulted version; caches keyed on the version fingerprint
+// can never observe a half-built graph.
 
 #ifndef PREDICT_GRAPH_DELTA_H_
 #define PREDICT_GRAPH_DELTA_H_
 
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -63,6 +60,14 @@
 namespace predict {
 
 /// One edge mutation in a delta batch.
+///
+/// A delete matches on (src, dst) regardless of weight. Within a batch it
+/// first cancels an earlier, not yet cancelled insert of the same
+/// (src, dst) — the canonical-first one, lowest weight bits — and
+/// otherwise removes the canonical-first surviving occurrence of
+/// (src, dst) in the current version. Batches never cancel across each
+/// other: a later batch's delete removes from the version the earlier
+/// batch produced.
 struct EdgeDelta {
   enum class Op : uint8_t {
     kInsert = 0,  ///< add (src, dst, weight)
@@ -72,7 +77,7 @@ struct EdgeDelta {
   Op op = Op::kInsert;
   VertexId src = 0;
   VertexId dst = 0;
-  /// Inserts only; deletes match on (src, dst) regardless of weight.
+  /// Inserts only.
   float weight = 1.0f;
 
   static EdgeDelta Insert(VertexId src, VertexId dst, float weight = 1.0f) {
@@ -87,10 +92,10 @@ struct EdgeDelta {
 
 using EdgeDeltaBatch = std::vector<EdgeDelta>;
 
-/// \brief A mutable graph: an immutable canonical base CSR plus a
-/// per-vertex sorted add/remove overlay.
+/// \brief A mutable graph: one canonical CSR version that Apply replaces
+/// with the next.
 ///
-/// Not thread-safe for mutation; the merged-view readers are const and
+/// Not thread-safe for mutation; Current() and the other const readers
 /// may run concurrently with each other (like Graph).
 class EvolvingGraph {
  public:
@@ -100,60 +105,26 @@ class EvolvingGraph {
   explicit EvolvingGraph(Graph base);
 
   /// |V| (fixed: delta batches mutate edges only).
-  uint64_t num_vertices() const { return base_.num_vertices(); }
-  /// Logical |E| of the current version (base minus removes plus adds).
-  uint64_t num_edges() const {
-    return static_cast<uint64_t>(
-        static_cast<int64_t>(base_.num_edges()) + edge_count_delta_);
-  }
-  /// Pending overlay entries (adds + removes not yet compacted).
-  uint64_t overlay_edges() const { return overlay_entries_; }
-  bool dirty() const { return overlay_entries_ != 0; }
+  uint64_t num_vertices() const { return graph_.num_vertices(); }
+  /// |E| of the current version.
+  uint64_t num_edges() const { return graph_.num_edges(); }
 
   /// The current version's stable identity (see file comment). Never 0;
   /// equals Current()->EdgeSetHash() at all times.
   uint64_t VersionFingerprint() const { return version_fp_ == 0 ? 1 : version_fp_; }
 
-  /// Validates and applies a mutation batch. On a validation error
-  /// (InvalidArgument carrying the offending (src, dst)) the graph is
-  /// unchanged. When the grown overlay crosses the compaction threshold
-  /// the batch is folded into a fresh base CSR; a fault injected there
-  /// ("graph.compact") is returned as the (annotated) error with the
-  /// batch fully applied and the overlay intact — retry via Compact().
+  /// Validates `batch` and patches it into the next canonical CSR. O(V +
+  /// E) bulk copies plus O(b log b + b log deg) for a batch of b. All or
+  /// nothing: on a validation error (InvalidArgument carrying the
+  /// offending (src, dst)) or a fault injected at "graph.compact" (the
+  /// annotated error) the CSR and the version are unchanged. A weights
+  /// array exists only if some edge of the new version has a weight !=
+  /// 1.0.
   Status Apply(const EdgeDeltaBatch& batch);
 
-  /// Merged-view out-degree of `v` in the current version.
-  uint64_t out_degree(VertexId v) const;
-
-  /// Invokes fn(dst, weight) for each of v's current out-edges in
-  /// canonical (dst, weight-bits) order, merging the base row with the
-  /// overlay without materializing anything.
-  template <typename Fn>
-  void ForEachOutEdge(VertexId v, Fn&& fn) const;
-
-  /// Folds the overlay into a fresh canonical CSR by patching the base:
-  /// O(V) offset passes and bulk copies of clean rows in both
-  /// directions, plus merges of the dirty out-rows and the dirty
-  /// in-rows (targets of an overlay entry) only. A weights array exists
-  /// only if the base is weighted or an add has a weight != 1.0, and a
-  /// version whose weights are all 1.0 comes out unweighted. Strong
-  /// exception safety: on failure (fail point "graph.compact") nothing
-  /// changes.
-  Status Compact();
-
-  /// The compacted current version (compacting first if dirty). The
-  /// returned pointer is valid until the next Apply/Compact.
-  Result<const Graph*> Current();
-
-  /// The last compacted CSR (ignores any pending overlay).
-  const Graph& base() const { return base_; }
-
-  /// Auto-compaction threshold: Apply compacts once overlay_edges()
-  /// exceeds `fraction` of the base edge count (clamped to a small
-  /// floor so tiny graphs still batch). Default 0.25.
-  void set_compaction_threshold(double fraction) {
-    compaction_threshold_ = fraction;
-  }
+  /// The current version's canonical CSR. Never fails; the pointer is
+  /// valid until the next successful Apply.
+  Result<const Graph*> Current() const { return &graph_; }
 
   /// Normalizes a graph to the canonical form EvolvingGraph uses: plain
   /// edge storage, every out-list sorted by (dst, weight bits), in-CSR
@@ -162,88 +133,9 @@ class EvolvingGraph {
   static Graph Canonicalize(Graph g);
 
  private:
-  struct VertexDelta {
-    /// Pending inserts from this vertex, sorted by (dst, weight bits).
-    std::vector<std::pair<VertexId, float>> adds;
-    /// Pending deletes of base-row occurrences: sorted dst multiset
-    /// (deletes that cancel a pending add never land here).
-    std::vector<VertexId> removes;
-  };
-
-  /// The current version as a fresh canonical CSR, patched from the base
-  /// (see Compact()). Leaves the members untouched.
-  Graph PatchedBase() const;
-
-  /// Emits fn(dst, weight) for a base row (`weights` empty when the base
-  /// is unweighted) merged with its pending delta, in canonical order.
-  template <typename Fn>
-  static void MergeRow(std::span<const VertexId> targets,
-                       std::span<const float> weights,
-                       const VertexDelta& delta, Fn&& fn);
-
-  /// Occurrences of dst surviving in v's base row = multiplicity in the
-  /// base minus pending removes.
-  uint64_t SurvivingBaseCount(VertexId v, VertexId dst) const;
-
-  Graph base_;  // canonical, plain edges
-  std::unordered_map<VertexId, VertexDelta> overlay_;
-  uint64_t overlay_entries_ = 0;
-  int64_t edge_count_delta_ = 0;
+  Graph graph_;  // canonical, plain edges
   uint64_t version_fp_ = 0;
-  double compaction_threshold_ = 0.25;
 };
-
-template <typename Fn>
-void EvolvingGraph::ForEachOutEdge(VertexId v, Fn&& fn) const {
-  const auto targets = base_.out_neighbors(v);
-  const std::span<const float> weights =
-      base_.is_weighted() ? base_.out_weights(v) : std::span<const float>{};
-  const auto it = overlay_.find(v);
-  if (it == overlay_.end()) {
-    for (size_t i = 0; i < targets.size(); ++i) {
-      fn(targets[i], weights.empty() ? 1.0f : weights[i]);
-    }
-    return;
-  }
-  MergeRow(targets, weights, it->second, fn);
-}
-
-template <typename Fn>
-void EvolvingGraph::MergeRow(std::span<const VertexId> targets,
-                             std::span<const float> weights,
-                             const VertexDelta& delta, Fn&& fn) {
-  const auto weight_at = [&](size_t i) {
-    return weights.empty() ? 1.0f : weights[i];
-  };
-  const auto weight_bits = [](float w) {
-    uint32_t bits;
-    std::memcpy(&bits, &w, sizeof(bits));
-    return bits;
-  };
-  size_t bi = 0;
-  size_t ri = 0;  // cursor into the sorted remove multiset
-  // Emits base slots from bi on while before(bi) holds, skipping the ones
-  // pending removes consume: the k removes recorded for a dst consume its
-  // first k base occurrences.
-  const auto emit_base_while = [&](auto before) {
-    for (; bi < targets.size() && before(bi); ++bi) {
-      if (ri < delta.removes.size() && delta.removes[ri] == targets[bi]) {
-        ++ri;
-        continue;
-      }
-      fn(targets[bi], weight_at(bi));
-    }
-  };
-  // Both sides are sorted by (dst, weight bits); ties emit base first.
-  for (const auto& [dst, w] : delta.adds) {
-    emit_base_while([&](size_t i) {
-      return targets[i] < dst ||
-             (targets[i] == dst && weight_bits(weight_at(i)) <= weight_bits(w));
-    });
-    fn(dst, w);
-  }
-  emit_base_while([](size_t) { return true; });
-}
 
 /// Vertices whose out-row (targets or weights) differs between two
 /// same-|V| graphs, ascending — the dirty set incremental re-sampling

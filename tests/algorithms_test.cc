@@ -15,6 +15,7 @@
 #include "algorithms/neighborhood.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/runner.h"
+#include "algorithms/rwr_proximity.h"
 #include "algorithms/semiclustering.h"
 #include "algorithms/topk_ranking.h"
 #include "graph/generators.h"
@@ -432,6 +433,61 @@ TEST(TopKTest, RejectsWrongRankVectorSize) {
   EXPECT_TRUE(RunTopKRanking(g, {}, FastEngine(), {1.0, 2.0})
                   .status()
                   .IsInvalidArgument());
+}
+
+TEST(TopKTest, RejectsUnboundedConfig) {
+  const Graph g = GenerateComplete(5).MoveValue();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<AlgorithmConfig> bad = {
+      {{"k", -1}},
+      {{"k", 0}},
+      {{"k", 2.5}},
+      {{"k", 4294967296.0}},
+      {{"k", nan}},
+      {{"rank_iterations", -1}},
+      {{"rank_iterations", 1.5}},
+      {{"rank_iterations", 2147483648.0}},
+      {{"rank_iterations", inf}},
+  };
+  for (const AlgorithmConfig& config : bad) {
+    const auto& [key, value] = *config.begin();
+    SCOPED_TRACE(key + "=" + std::to_string(value));
+    auto result = RunTopKRanking(g, config, FastEngine(2));
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument());
+  }
+  // The bounds themselves pass the config check.
+  EXPECT_TRUE(ResolveConfig(TopKRankingSpec(),
+                            {{"k", 4294967295.0}, {"rank_iterations", 0}})
+                  .ok());
+  EXPECT_TRUE(RunTopKRanking(g, {{"k", 1}}, FastEngine(2)).ok());
+}
+
+TEST(RwrSourceTest, RejectsNonFiniteSource) {
+  const Graph g = GenerateComplete(5).MoveValue();
+  for (const double source : {std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(source);
+    EXPECT_TRUE(RunRwrProximity(g, {{"source", source}}, FastEngine(2))
+                    .status()
+                    .IsInvalidArgument());
+  }
+}
+
+TEST(RwrSourceTest, OutOfRangeSourceSelectsTheHub) {
+  // Vertex 3 has the highest out-degree.
+  const Graph g =
+      Graph::FromEdges(5, {{3, 0, 1.0f}, {3, 1, 1.0f}, {3, 4, 1.0f},
+                           {0, 1, 1.0f}, {1, 2, 1.0f}})
+          .MoveValue();
+  for (const double source : {-1.0, -1e30, 5.0, 4294967296.0, 1e30}) {
+    SCOPED_TRACE(source);
+    EXPECT_EQ(ResolveRwrSource({{"source", source}}, g), 3u);
+  }
+  EXPECT_EQ(ResolveRwrSource({{"source", 4.0}}, g), 4u);
+  EXPECT_EQ(ResolveRwrSource({{"source", 2.5}}, g), 2u);
 }
 
 TEST(TopKTest, MessageCountDecaysAcrossSupersteps) {

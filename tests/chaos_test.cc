@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "pipeline/stages.h"
 #include "service/prediction_service.h"
+#include "tests/csr_equal.h"
 
 namespace predict {
 namespace {
@@ -732,83 +733,49 @@ class ChaosDeltaCompactionTest : public ::testing::Test {
  protected:
   void SetUp() override { fail::DisableAll(); }
   void TearDown() override { fail::DisableAll(); }
-
-  static std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
-    std::vector<Edge> edges;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      g.ForEachOutEdge(v, [&](VertexId dst, float w) {
-        edges.push_back({v, dst, w});
-      });
-    }
-    return edges;
-  }
 };
 
-TEST_F(ChaosDeltaCompactionTest, ExplicitCompactFaultIsStrongExceptionSafe) {
+TEST_F(ChaosDeltaCompactionTest, FaultedApplyLeavesTheVersionUntouched) {
   EvolvingGraph g(TestGraph(200, 43));
-  g.set_compaction_threshold(1e9);
-  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 7), EdgeDelta::Insert(3, 9)}).ok());
   const uint64_t fp = g.VersionFingerprint();
-  const uint64_t base_fp = g.base().Fingerprint();
-  const std::vector<Edge> before = MergedEdges(g);
+  const Graph before = **g.Current();
 
   ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
-  const Status faulted = g.Compact();
+  const Status faulted =
+      g.Apply({EdgeDelta::Insert(0, 7), EdgeDelta::Insert(3, 9)});
   EXPECT_FALSE(faulted.ok());
   EXPECT_NE(faulted.message().find("graph_compact"), std::string::npos)
       << faulted.message();
-  // Nothing changed: base untouched, overlay intact, version stable.
-  EXPECT_TRUE(g.dirty());
-  EXPECT_EQ(g.base().Fingerprint(), base_fp);
+  // Nothing changed: same CSR bytes, same version.
   EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(MergedEdges(g), before);
-
-  // The retry (fail point consumed) folds the same overlay in cleanly.
-  ASSERT_TRUE(g.Compact().ok());
-  EXPECT_FALSE(g.dirty());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(g.base().EdgeSetHash(), fp);
-  EXPECT_EQ(MergedEdges(g), before);
+  EXPECT_TRUE(testing::SameCsr(**g.Current(), before));
 }
 
-TEST_F(ChaosDeltaCompactionTest, FaultedAutoCompactionKeepsBatchApplied) {
+TEST_F(ChaosDeltaCompactionTest, RetryOfAFaultedBatchReachesTheUnfaultedVersion) {
   EvolvingGraph g(TestGraph(100, 47));
-  g.set_compaction_threshold(0.0);  // every Apply trips auto-compaction
-  ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
-
+  EvolvingGraph unfaulted = g;
   EdgeDeltaBatch batch;
   for (VertexId v = 0; v < 70; ++v) batch.push_back(EdgeDelta::Insert(v, 99));
-  const Status faulted = g.Apply(batch);
-  EXPECT_FALSE(faulted.ok());
-  // The batch is fully applied (version + merged view reflect it); only
-  // the fold into a fresh CSR is pending.
-  EXPECT_TRUE(g.dirty());
-  EXPECT_EQ(g.overlay_edges(), 70u);
-  uint64_t in99 = 0;
-  for (VertexId v = 0; v < 70; ++v) {
-    g.ForEachOutEdge(v, [&](VertexId d, float) { in99 += d == 99 ? 1 : 0; });
-  }
-  EXPECT_GE(in99, 70u);
-  const uint64_t fp = g.VersionFingerprint();
+  ASSERT_TRUE(unfaulted.Apply(batch).ok());
 
-  // Retry through Current(): compacts, preserving the version.
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ((*current)->EdgeSetHash(), fp);
+  ASSERT_TRUE(fail::Configure("graph.compact", "once").ok());
+  EXPECT_FALSE(g.Apply(batch).ok());
+  ASSERT_TRUE(g.Apply(batch).ok());  // the fail point is consumed
+  EXPECT_EQ(g.VersionFingerprint(), unfaulted.VersionFingerprint());
+  EXPECT_TRUE(testing::SameCsr(**g.Current(), **unfaulted.Current()));
+  EXPECT_EQ((*g.Current())->EdgeSetHash(), g.VersionFingerprint());
 }
 
 TEST_F(ChaosDeltaCompactionTest, CachesKeyedOnVersionNeverSeeTornState) {
   // A cache keyed on VersionFingerprint is sound iff every read of a
   // given version yields identical bytes, no matter how many faulted
-  // compactions happen in between. Walk the graph through mutate ->
-  // faulted compact -> read -> retry -> read and demand one consistent
-  // edge list per version.
+  // batches happen in between. Walk the graph through faulted apply ->
+  // read -> retry -> read and demand one consistent edge list per
+  // version.
   EvolvingGraph g(TestGraph(150, 53));
-  g.set_compaction_threshold(1e9);
   std::unordered_map<uint64_t, std::vector<Edge>> cache;
   const auto observe = [&](const EvolvingGraph& graph) {
-    const std::vector<Edge> edges = MergedEdges(graph);
+    const std::vector<Edge> edges = (*graph.Current())->ToEdgeList();
     const auto [it, inserted] =
         cache.emplace(graph.VersionFingerprint(), edges);
     if (!inserted) {
@@ -819,16 +786,15 @@ TEST_F(ChaosDeltaCompactionTest, CachesKeyedOnVersionNeverSeeTornState) {
   };
 
   observe(g);
-  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(1, 2), EdgeDelta::Insert(5, 8)}).ok());
-  observe(g);
-
+  const EdgeDeltaBatch batch = {EdgeDelta::Insert(1, 2),
+                                EdgeDelta::Insert(5, 8)};
   ASSERT_TRUE(fail::Configure("graph.compact", "times:2").ok());
-  EXPECT_FALSE(g.Compact().ok());
-  observe(g);  // post-fault read: same version, same bytes
-  EXPECT_FALSE(g.Compact().ok());
+  EXPECT_FALSE(g.Apply(batch).ok());
+  observe(g);  // post-fault read: the previous version, same bytes
+  EXPECT_FALSE(g.Apply(batch).ok());
   observe(g);
-  ASSERT_TRUE(g.Compact().ok());  // third attempt succeeds
-  observe(g);  // compacted read of the same version: same bytes
+  ASSERT_TRUE(g.Apply(batch).ok());  // third attempt succeeds
+  observe(g);
 
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
   observe(g);

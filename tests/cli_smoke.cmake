@@ -1,6 +1,7 @@
 # Exit-code smoke test of predict_cli: a flag the command does not read,
 # a malformed flag value, an unknown sampler and a --config value the
-# algorithm rejects exit 2; valid commands exit 0.
+# algorithm rejects (on run and, before any sampling, on predict) exit 2;
+# valid commands exit 0.
 #
 #   cmake -DCLI=/path/to/predict_cli -P tests/cli_smoke.cmake
 
@@ -24,6 +25,10 @@ expect_exit(2 sample --dataset wiki --scale 0.05 --method XYZ)
 expect_exit(2 run --algorithm pagerank --dataset wiki --scale 0.05
             --config tau=abc)
 expect_exit(2 run --algorithm semiclustering --dataset wiki --scale 0.05
+            --config v_max=-1)
+expect_exit(2 run --algorithm topk_ranking --dataset wiki --scale 0.05
+            --config k=-1)
+expect_exit(2 predict --algorithm semiclustering --dataset wiki --scale 0.05
             --config v_max=-1)
 expect_exit(0 scenarios)
 expect_exit(0 predict --algorithm pagerank --dataset wiki --scale 0.05)

@@ -1,6 +1,6 @@
-// Tests for graph/delta.h: the delta overlay, versioned fingerprints,
-// canonicalization, compaction, churn generation, and the merged-view
-// transforms backing incremental re-prediction.
+// Tests for graph/delta.h: batch application, versioned fingerprints,
+// canonicalization, the patched CSR, churn generation, and the dirty set
+// backing incremental re-prediction.
 
 #include <gtest/gtest.h>
 
@@ -43,15 +43,10 @@ Graph RandomGraph(VertexId n, uint64_t num_edges, uint64_t seed,
   return g.MoveValue();
 }
 
-// Materializes the merged view of every row as an edge list.
-std::vector<Edge> MergedEdges(const EvolvingGraph& g) {
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    g.ForEachOutEdge(v, [&](VertexId dst, float w) {
-      edges.push_back({v, dst, w});
-    });
-  }
-  return edges;
+Graph ColdCanonical(VertexId n, std::vector<Edge> edges) {
+  auto cold = Graph::FromEdges(n, std::move(edges));
+  EXPECT_TRUE(cold.ok());
+  return EvolvingGraph::Canonicalize(cold.MoveValue());
 }
 
 // ------------------------------------------------------------ canonical
@@ -84,27 +79,25 @@ TEST(DeltaCanonicalizeTest, EqualEdgeSetsCanonicalizeIdentically) {
             EvolvingGraph::Canonicalize(gb.MoveValue()).Fingerprint());
 }
 
-// ------------------------------------------------------------- overlay
+// --------------------------------------------------------------- apply
 
 TEST(DeltaOverlayTest, InsertShowsUpInMergedView) {
   EvolvingGraph g(MakeChain(4));
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 3)}).ok());
   EXPECT_EQ(g.num_edges(), 4u);
-  EXPECT_EQ(g.out_degree(0), 2u);
-  EXPECT_TRUE(g.dirty());
-  std::vector<VertexId> row;
-  g.ForEachOutEdge(0, [&](VertexId d, float) { row.push_back(d); });
-  EXPECT_EQ(row, (std::vector<VertexId>{1, 3}));
+  const Graph& current = **g.Current();
+  EXPECT_EQ(current.out_degree(0), 2u);
+  const auto row = current.out_neighbors(0);
+  EXPECT_EQ(std::vector<VertexId>(row.begin(), row.end()),
+            (std::vector<VertexId>{1, 3}));
 }
 
 TEST(DeltaOverlayTest, DeleteRemovesFromMergedView) {
   EvolvingGraph g(MakeChain(4));
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(1, 2)}).ok());
   EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_EQ(g.out_degree(1), 0u);
-  uint64_t row_length = 0;
-  g.ForEachOutEdge(1, [&](VertexId, float) { ++row_length; });
-  EXPECT_EQ(row_length, 0u);
+  EXPECT_EQ((*g.Current())->out_degree(1), 0u);
+  EXPECT_TRUE((*g.Current())->out_neighbors(1).empty());
 }
 
 TEST(DeltaOverlayTest, DeleteCancelsPendingInsert) {
@@ -123,53 +116,72 @@ TEST(DeltaOverlayTest, ParallelEdgeDeleteConsumesOneOccurrence) {
   EvolvingGraph g(base.MoveValue());
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
   EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.out_degree(0), 1u);
+  EXPECT_EQ((*g.Current())->out_degree(0), 1u);
   ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
-  EXPECT_EQ(g.out_degree(0), 0u);
+  EXPECT_EQ((*g.Current())->out_degree(0), 0u);
 }
 
-TEST(DeltaOverlayTest, MergedViewMatchesCompactedGraph) {
-  EvolvingGraph g(RandomGraph(40, 200, 7));
-  g.set_compaction_threshold(1e9);  // keep the overlay pending
+TEST(DeltaApplyTest, VersionMatchesColdBuildOfBasePlusBatch) {
+  Graph base = RandomGraph(40, 200, 7);
+  std::vector<Edge> edges = base.ToEdgeList();
+  EvolvingGraph g(std::move(base));
   Rng rng(11);
   EdgeDeltaBatch batch;
   for (int i = 0; i < 30; ++i) {
-    batch.push_back(EdgeDelta::Insert(static_cast<VertexId>(rng.Uniform(40)),
-                                      static_cast<VertexId>(rng.Uniform(40))));
+    const Edge e = {static_cast<VertexId>(rng.Uniform(40)),
+                    static_cast<VertexId>(rng.Uniform(40)), 1.0f};
+    batch.push_back(EdgeDelta::Insert(e.src, e.dst));
+    edges.push_back(e);
   }
   ASSERT_TRUE(g.Apply(batch).ok());
-  ASSERT_TRUE(g.dirty());
-  const std::vector<Edge> overlaid = MergedEdges(g);
-  const uint64_t fp = g.VersionFingerprint();
-  auto current = g.Current();  // compacts
+  auto current = g.Current();
   ASSERT_TRUE(current.ok());
-  EXPECT_FALSE(g.dirty());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ((*current)->EdgeSetHash(), fp);
-  EXPECT_EQ(MergedEdges(g), overlaid);
-  EXPECT_EQ((*current)->ToEdgeList(), overlaid);
+  const Graph cold = ColdCanonical(40, std::move(edges));
+  EXPECT_TRUE(testing::SameCsr(**current, cold));
+  EXPECT_EQ(g.VersionFingerprint(), cold.EdgeSetHash());
+  EXPECT_EQ((*current)->EdgeSetHash(), g.VersionFingerprint());
+}
+
+// A delete never reaches back into an earlier batch: the second batch's
+// delete consumes the canonical-first occurrence of the version the first
+// batch produced, whereas inside one batch it cancels the pending insert.
+TEST(DeltaApplyTest, DeleteInALaterBatchConsumesTheCanonicalFirstOccurrence) {
+  auto base = Graph::FromEdges(2, {{0, 1, 1.0f}});
+  ASSERT_TRUE(base.ok());
+  EvolvingGraph g(*base);
+  ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 1, 2.0f)}).ok());
+  ASSERT_TRUE(g.Apply({EdgeDelta::Delete(0, 1)}).ok());
+  const Graph two_batches = ColdCanonical(2, {{0, 1, 2.0f}});
+  EXPECT_TRUE(testing::SameCsr(**g.Current(), two_batches));
+  EXPECT_EQ(g.VersionFingerprint(), two_batches.EdgeSetHash());
+
+  EvolvingGraph h(*base);
+  ASSERT_TRUE(
+      h.Apply({EdgeDelta::Insert(0, 1, 2.0f), EdgeDelta::Delete(0, 1)}).ok());
+  const Graph one_batch = ColdCanonical(2, {{0, 1, 1.0f}});
+  EXPECT_TRUE(testing::SameCsr(**h.Current(), one_batch));
+  EXPECT_EQ(h.VersionFingerprint(), one_batch.EdgeSetHash());
+
+  // Of several pending inserts, a delete cancels the canonical-first one.
+  EvolvingGraph k(*base);
+  ASSERT_TRUE(k.Apply({EdgeDelta::Insert(0, 1, 3.0f),
+                       EdgeDelta::Insert(0, 1, 0.5f), EdgeDelta::Delete(0, 1)})
+                  .ok());
+  const Graph cancelled_lowest = ColdCanonical(2, {{0, 1, 1.0f}, {0, 1, 3.0f}});
+  EXPECT_TRUE(testing::SameCsr(**k.Current(), cancelled_lowest));
+  EXPECT_EQ(k.VersionFingerprint(), cancelled_lowest.EdgeSetHash());
 }
 
 TEST(DeltaOverlayTest, WeightedInsertsMergeInCanonicalOrder) {
   auto base = Graph::FromEdges(2, {{0, 1, 2.0f}});
   ASSERT_TRUE(base.ok());
   EvolvingGraph g(base.MoveValue());
-  g.set_compaction_threshold(1e9);
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(0, 1, 1.0f),
                        EdgeDelta::Insert(0, 1, 3.0f)}).ok());
-  std::vector<float> weights;
-  g.ForEachOutEdge(0, [&](VertexId, float w) { weights.push_back(w); });
-  EXPECT_EQ(weights, (std::vector<float>{1.0f, 2.0f, 3.0f}));
-  const std::vector<Edge> overlaid = MergedEdges(g);
-  auto current = g.Current();
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ((*current)->ToEdgeList(), overlaid);
+  const auto weights = (*g.Current())->out_weights(0);
+  EXPECT_EQ(std::vector<float>(weights.begin(), weights.end()),
+            (std::vector<float>{1.0f, 2.0f, 3.0f}));
 
-  const auto cold_canonical = [](VertexId n, std::vector<Edge> edges) {
-    auto cold = Graph::FromEdges(n, std::move(edges));
-    EXPECT_TRUE(cold.ok());
-    return EvolvingGraph::Canonicalize(cold.MoveValue());
-  };
   // Deleting every non-1.0 edge of a weighted base leaves it unweighted.
   {
     auto weighted = Graph::FromEdges(
@@ -177,7 +189,6 @@ TEST(DeltaOverlayTest, WeightedInsertsMergeInCanonicalOrder) {
             {3, 0, 1.0f}, {2, 1, 1.0f}});
     ASSERT_TRUE(weighted.ok());
     EvolvingGraph h(weighted.MoveValue());
-    h.set_compaction_threshold(1e9);
     // Both (0, 1) occurrences go and a 1.0 one comes back.
     ASSERT_TRUE(h.Apply({EdgeDelta::Delete(0, 1), EdgeDelta::Delete(0, 1),
                          EdgeDelta::Insert(0, 1), EdgeDelta::Delete(2, 3)})
@@ -188,20 +199,19 @@ TEST(DeltaOverlayTest, WeightedInsertsMergeInCanonicalOrder) {
     EXPECT_TRUE((*compacted)->out_weights().empty());
     EXPECT_TRUE(testing::SameCsr(
         **compacted,
-        cold_canonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f}, {3, 0, 1.0f},
+        ColdCanonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f}, {3, 0, 1.0f},
                            {2, 1, 1.0f}})));
   }
   // One non-1.0 insert makes an unweighted base weighted.
   {
     EvolvingGraph h(MakeChain(4));
-    h.set_compaction_threshold(1e9);
     ASSERT_TRUE(h.Apply({EdgeDelta::Insert(3, 1, 2.5f)}).ok());
     auto compacted = h.Current();
     ASSERT_TRUE(compacted.ok());
     EXPECT_TRUE((*compacted)->is_weighted());
     EXPECT_TRUE(testing::SameCsr(
-        **compacted, cold_canonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f},
-                                        {2, 3, 1.0f}, {3, 1, 2.5f}})));
+        **compacted, ColdCanonical(4, {{0, 1, 1.0f}, {1, 2, 1.0f},
+                                       {2, 3, 1.0f}, {3, 1, 2.5f}})));
   }
 }
 
@@ -212,7 +222,6 @@ TEST(DeltaValidationTest, RejectsUnknownVertex) {
   const Status s = g.Apply({EdgeDelta::Insert(0, 9)});
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("(0 -> 9)"), std::string::npos) << s.message();
-  EXPECT_FALSE(g.dirty());
 }
 
 TEST(DeltaValidationTest, RejectsDeleteOfMissingEdge) {
@@ -239,7 +248,6 @@ TEST(DeltaValidationTest, FailedBatchLeavesGraphUnchanged) {
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_EQ(g.VersionFingerprint(), fp);
   EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_FALSE(g.dirty());
 }
 
 TEST(DeltaValidationTest, NetDeltaValidationAllowsDeleteOfBatchInsert) {
@@ -256,9 +264,7 @@ TEST(DeltaFingerprintTest, NeverZeroAndStableAcrossCompaction) {
   ASSERT_TRUE(g.Apply({EdgeDelta::Insert(1, 2)}).ok());
   const uint64_t fp = g.VersionFingerprint();
   EXPECT_NE(fp, 0u);
-  ASSERT_TRUE(g.Compact().ok());
-  EXPECT_EQ(g.VersionFingerprint(), fp);
-  EXPECT_EQ(g.base().EdgeSetHash(), fp);
+  EXPECT_EQ((*g.Current())->EdgeSetHash(), fp);
 }
 
 TEST(DeltaFingerprintTest, OrderOfBatchesDoesNotMatter) {
@@ -300,27 +306,24 @@ TEST(DeltaFingerprintTest, WeightChangesTheVersion) {
 
 // ---------------------------------------------------------- compaction
 
-TEST(DeltaCompactionTest, ThresholdTriggersAutoCompaction) {
+TEST(DeltaApplyTest, LargeBatchLandsInOneVersion) {
   EvolvingGraph g(RandomGraph(50, 400, 5));
-  g.set_compaction_threshold(0.25);
   Rng rng(9);
-  // Push well past 25% of 400 base edges (and the small-overlay floor).
+  // A batch of well over 25% of the 400 base edges.
   EdgeDeltaBatch batch;
   for (int i = 0; i < 150; ++i) {
     batch.push_back(EdgeDelta::Insert(static_cast<VertexId>(rng.Uniform(50)),
                                       static_cast<VertexId>(rng.Uniform(50))));
   }
   ASSERT_TRUE(g.Apply(batch).ok());
-  EXPECT_FALSE(g.dirty());  // auto-compacted
-  EXPECT_EQ(g.base().num_edges(), 550u);
-  EXPECT_EQ(g.base().EdgeSetHash(), g.VersionFingerprint());
+  EXPECT_EQ((*g.Current())->num_edges(), 550u);
+  EXPECT_EQ((*g.Current())->EdgeSetHash(), g.VersionFingerprint());
 }
 
 TEST(DeltaCompactionTest, CompactedBytesMatchColdCanonicalBuild) {
   Graph base = RandomGraph(32, 160, 13, /*weighted=*/true);
   std::vector<Edge> edges = base.ToEdgeList();
   EvolvingGraph g(std::move(base));
-  g.set_compaction_threshold(1e9);
   Rng rng(17);
   EdgeDeltaBatch batch;
   // A delete consumes the lowest-weight surviving occurrence of (src, dst).
@@ -375,8 +378,7 @@ TEST(DeltaCompactionTest, CurrentIsStableWhenClean) {
   ASSERT_TRUE(a.ok());
   auto b = g.Current();
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);  // same pointer: no work when not dirty
-  EXPECT_EQ(*a, &g.base());
+  EXPECT_EQ(*a, *b);  // same pointer: Current() does no work
 }
 
 // ----------------------------------------------------------- dirty set
@@ -424,7 +426,6 @@ TEST(DeltaChurnTest, GeneratedBatchAppliesCleanly) {
   ASSERT_TRUE(batch.ok());
   EXPECT_FALSE(batch->empty());
   EvolvingGraph g(std::move(base));
-  g.set_compaction_threshold(1e9);
   EXPECT_TRUE(g.Apply(*batch).ok());
   EXPECT_EQ(g.num_edges(), 600u);  // half deletes, half inserts
 }

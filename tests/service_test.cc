@@ -119,6 +119,20 @@ TEST(PredictionServiceTest, NullGraphRejected) {
   EXPECT_TRUE(service.Predict(request).status().IsInvalidArgument());
 }
 
+TEST(PredictionServiceTest, OutOfBoundsConfigFailsFastWithoutSampling) {
+  const Graph g = TestGraph(2000, 31);
+  PredictionService service(TestServiceOptions());
+  PredictionRequest request;
+  request.graph = &g;
+  request.algorithm = "semiclustering";
+  request.overrides = {{"v_max", -1.0}};
+  EXPECT_TRUE(service.Predict(request).status().IsInvalidArgument());
+  request.algorithm = "topk_ranking";
+  request.overrides = {{"k", -1.0}};
+  EXPECT_TRUE(service.Predict(request).status().IsInvalidArgument());
+  EXPECT_EQ(service.cache_stats().sample_misses, 0u);
+}
+
 TEST(PredictionServiceTest, UnknownAlgorithmFailsFastWithoutSampling) {
   const Graph g = TestGraph(2000, 31);
   PredictionService service(TestServiceOptions());

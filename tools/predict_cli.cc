@@ -187,6 +187,23 @@ int FlagError(const Status& status) {
   return 2;
 }
 
+/// Prints a library error and returns its exit code. InvalidArgument is
+/// an input the command line chose (e.g. a --config key or value the
+/// algorithm rejects): a flag error. Anything else exits 1.
+int LibraryError(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return status.IsInvalidArgument() ? 2 : 1;
+}
+
+/// The exit code of a command some of whose requests failed: 2 if the
+/// library rejected one as InvalidArgument (see LibraryError), else 1.
+int FailedRequestsExit(const std::vector<Result<PredictionReport>>& results) {
+  for (const auto& result : results) {
+    if (!result.ok() && result.status().IsInvalidArgument()) return 2;
+  }
+  return 1;
+}
+
 Result<SamplerKind> ParseSamplerKind(const std::string& name) {
   for (const SamplerKind kind :
        {SamplerKind::kRandomJump, SamplerKind::kBiasedRandomJump,
@@ -414,13 +431,7 @@ int CmdRun(const Flags& flags) {
   options.engine = *engine;
   options.config_overrides = *config;
   auto result = RunAlgorithmByName(algorithm, *graph, options);
-  if (!result.ok()) {
-    // InvalidArgument here is an input the command line chose (e.g. a
-    // --config key or value the algorithm rejects): a flag error.
-    if (result.status().IsInvalidArgument()) return FlagError(result.status());
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return LibraryError(result.status());
   const bsp::RunStats& stats = result->stats;
   std::printf("%s on %s: %d supersteps (%s)\n", algorithm.c_str(),
               graph->ToString().c_str(), stats.num_supersteps(),
@@ -483,10 +494,7 @@ int CmdPredict(const Flags& flags) {
   const std::string dataset_label = GetFlag(flags, "dataset", "input");
   auto report =
       predictor.PredictRuntime(algorithm, *graph, dataset_label, *config);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
-  }
+  if (!report.ok()) return LibraryError(report.status());
   std::printf("PREDIcT %s on %s (%s sample, ratio %.3f)\n", algorithm.c_str(),
               graph->ToString().c_str(),
               SamplerKindName(options.sampler.kind),
@@ -688,12 +696,12 @@ int CmdBatch(const Flags& flags) {
                 static_cast<unsigned long long>(
                     stats.incremental_segments_reused));
   }
-  return failures == 0 ? 0 : 1;
+  return failures == 0 ? 0 : FailedRequestsExit(results);
 }
 
-// Applies deterministic seeded churn to a graph through the delta
-// overlay (graph/delta.h) and writes the compacted mutated version as
-// PRDG binary — the companion to `predict` for exercising incremental
+// Applies deterministic seeded churn to a graph as one delta batch
+// (graph/delta.h) and writes the mutated canonical version as PRDG
+// binary — the companion to `predict` for exercising incremental
 // re-prediction: mutate, then predict the new file.
 int CmdMutate(const Flags& flags) {
   auto graph = LoadInputGraph(flags);
@@ -715,7 +723,7 @@ int CmdMutate(const Flags& flags) {
   ChurnOptions churn;
   churn.fraction = *fraction;
   churn.seed = *seed;
-  auto batch = GenerateChurn(evolving.base(), churn);
+  auto batch = GenerateChurn(**evolving.Current(), churn);
   if (!batch.ok()) {
     std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
     return 1;
@@ -730,18 +738,14 @@ int CmdMutate(const Flags& flags) {
     }
   }
   std::printf("base:    %s, version %016llx\n",
-              evolving.base().ToString().c_str(),
+              (*evolving.Current())->ToString().c_str(),
               static_cast<unsigned long long>(evolving.VersionFingerprint()));
   const Status applied = evolving.Apply(*batch);
   if (!applied.ok()) {
     std::fprintf(stderr, "%s\n", applied.ToString().c_str());
     return 1;
   }
-  auto current = evolving.Current();
-  if (!current.ok()) {
-    std::fprintf(stderr, "%s\n", current.status().ToString().c_str());
-    return 1;
-  }
+  const auto current = evolving.Current();
   const Status written = WriteBinaryGraphFile(**current, out);
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
@@ -891,7 +895,7 @@ int CmdWhatIf(const Flags& flags) {
   } else {
     std::printf("no scenario%s produced a prediction\n",
                 *sla > 0 ? " meets the SLA or" : "");
-    return 1;
+    return FailedRequestsExit(results);
   }
   return 0;
 }
